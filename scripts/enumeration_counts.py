@@ -1,7 +1,7 @@
 """Enumerate isomorphism classes of small quandles and count how many
 are right or left 2-transitive.
 
-Usage: python3 scripts/reproduce_table1.py [--max-n 6]
+Usage: python3 scripts/enumeration_counts.py [--max-n 6]
 
 Expected output for n = 3..6: classes 3, 7, 22, 73; right counts
 3, 6, 16, 42; left counts 2, 3, 7, 14.  The n = 6 row takes a few

@@ -2,7 +2,7 @@
 basis e_i = a_i - a_0 and check the closed-form families against the
 generic structure-constant multiplication.
 
-Usage: python3 scripts/e_basis_tables.py [n ...]   (default: 8 10)
+Usage: python3 scripts/product_tables.py [n ...]   (default: 8 10)
 """
 
 import argparse

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import __version__
 from .counterexamples import (
@@ -56,6 +55,7 @@ from .quandles import (
     validate_table,
 )
 from .rings import (
+    DEFAULT_ISO_BUDGET,
     is_ring_isomorphism,
     power_assoc_witness,
     quandle_ring,
@@ -82,8 +82,6 @@ EXIT_AXIOM = 4
 EXIT_CAPACITY = 5
 
 CATALOG_ENV = "QUANDLEKIT_CATALOG"
-
-DEFAULT_ISO_BUDGET = 10**7
 
 # Reference values for the verification suite (cmd_verify).  Keyed facts
 # only; the functions that compute the actual values live in their
@@ -288,12 +286,16 @@ def _append_catalog(path, quandles):
     seen = set()
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                entry = json.loads(line)
-                seen.add((entry["n"], tuple(tuple(r) for r in entry["table"])))
+                try:
+                    entry = json.loads(line)
+                    seen.add((entry["n"], tuple(tuple(r) for r in entry["table"])))
+                except (ValueError, KeyError, TypeError) as exc:
+                    message = "%s:%d: bad catalog entry: %r" % (path, lineno, exc)
+                    raise MalformedTableError("bad-structure", message) from exc
     added = 0
     with open(path, "a", encoding="utf-8") as fh:
         for q in quandles:

@@ -25,7 +25,7 @@ from .linalg import (
 )
 from .quandles import dihedral_quandle, orbits, right_translation
 from .rings import multiply, quandle_ring
-from .symmetry import _pair_orbit_count, restricted_action
+from .symmetry import pair_components, restricted_action
 
 VARIANT_ALL = "all-bracketings"
 VARIANT_LEFT = "left-normed"
@@ -238,9 +238,7 @@ def orbit_summands(x, domain):
 def permutation_rank(group, m):
     """Number of orbits on ordered pairs of distinct points, plus one for
     the diagonal; equals 2 exactly for a 2-transitive group action."""
-    if m <= 1:
-        return 1
-    return _pair_orbit_count(list(group.elements), m) + 1
+    return pair_components(group.generators, m) + 1
 
 
 @dataclass(frozen=True)
@@ -264,7 +262,7 @@ class OrbitSummandReport:
 @dataclass(frozen=True)
 class DecompositionReport:
     entries: tuple
-    verdict: str  # "verified" / "failed" / "inconclusive"
+    verdict: str  # "verified" / "failed" / "not-simple" / "inconclusive"
 
     def to_json(self):
         return {"verdict": self.verdict, "orbits": [e.to_json() for e in self.entries]}
@@ -328,8 +326,7 @@ def verify_simple_decomposition(x, domain):
             simple = _simple_by_spinup(ring, v_triv, char) and _simple_by_spinup(ring, v_st, char)
         else:
             gens = restricted_action(translations, orb)
-            rank = 1 + _pair_orbit_count(gens, len(orb))
-            simple = True if rank == 2 else "unknown"
+            simple = True if pair_components(gens, len(orb)) == 1 else "unknown"
         entries.append(
             OrbitSummandReport(
                 orbit=tuple(orb),
@@ -343,6 +340,8 @@ def verify_simple_decomposition(x, domain):
         verdict = "failed"
     elif all(e.simple is True for e in entries):
         verdict = "verified"
+    elif any(e.simple is False for e in entries):
+        verdict = "not-simple"
     else:
         verdict = "inconclusive"
     return DecompositionReport(entries=tuple(entries), verdict=verdict)

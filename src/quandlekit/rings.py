@@ -18,7 +18,7 @@ from .errors import (
 from .linalg import field_rank
 
 DEFAULT_WITNESS_BOX = (-2, -1, 1, 2)
-DEFAULT_ISO_BUDGET = 10**8
+DEFAULT_ISO_BUDGET = 10**7
 
 
 @dataclass(frozen=True)

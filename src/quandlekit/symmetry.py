@@ -41,16 +41,9 @@ def identity(n):
 
 
 @dataclass(frozen=True)
-class GeneratedGroup:
-    generators: tuple
-    elements: frozenset
-
-    def __len__(self):
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
 class GeneratedSemigroup:
+    """Maps closed under composition and the generators they came from (groups too)."""
+
     generators: tuple
     elements: frozenset
 
@@ -92,7 +85,7 @@ def inner_group(x, cap=DEFAULT_CLOSURE_CAP):
             for j in range(x.n):
                 if g[x.table[i][j]] != x.table[g[i]][g[j]]:
                     raise QuandleKitError("right translation is not an automorphism; not a quandle")
-    return GeneratedGroup(generators=gens, elements=frozenset(_closure(gens, True, cap)))
+    return GeneratedSemigroup(generators=gens, elements=frozenset(_closure(gens, True, cap)))
 
 
 def left_semigroup(x, cap=DEFAULT_CLOSURE_CAP):
@@ -117,92 +110,82 @@ def restricted_action(elements, subset):
     return out
 
 
-def is_2transitive(elements, m):
-    """Direct 2-transitivity check over ordered pairs of distinct points.
+def pair_components(gens, m):
+    """Number of strongly connected components of the pair digraph of gens.
 
-    Works for any collection of self-maps of [0,m); vacuously true for
-    m <= 1.  Diagonal pairs are excluded on both sides: if they were
-    included, no action would ever count as 2-transitive.
+    The nodes are the m(m-1) ordered pairs (a, b) of distinct points of
+    [0,m); each map g gives an edge (a, b) -> (g[a], g[b]) when
+    g[a] != g[b].  For a group this is the number of orbits on distinct
+    pairs.  For any semigroup the action is 2-transitive exactly when the
+    count is at most 1: with one component every pair reaches every pair,
+    itself included, in at least one step, and a pair that collapses to
+    (a, a) never becomes distinct again.  Kosaraju's algorithm, two linear
+    passes over O(m^2 |gens|) edges.
     """
-    if m <= 1:
-        return True
-    elements = list(elements)
-    needed = m * (m - 1)
-    for x1 in range(m):
-        for y1 in range(m):
-            if x1 == y1:
-                continue
-            seen = set()
-            for f in elements:
-                a, b = f[x1], f[y1]
-                if a != b:
-                    seen.add((a, b))
-            if len(seen) < needed:
-                return False
-    return True
-
-
-def _pair_orbit_count(gens, m):
-    """Number of orbits on ordered pairs of distinct points under the group
-    generated by gens (permutations of [0,m))."""
+    nodes = [a * m + b for a in range(m) for b in range(m) if a != b]
+    succ = [[] for _ in range(m * m)]
+    pred = [[] for _ in range(m * m)]
+    for v in nodes:
+        a, b = divmod(v, m)
+        for g in gens:
+            if g[a] != g[b]:
+                w = g[a] * m + g[b]
+                succ[v].append(w)
+                pred[w].append(v)
+    # pass 1: nodes in increasing order of DFS finishing time
+    finished = []
     seen = set()
+    for root in nodes:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, edges = stack[-1]
+            for w in edges:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    # pass 2: a search of the reversed graph from the latest unvisited
+    # finisher sweeps out exactly one component
     count = 0
-    for x in range(m):
-        for y in range(m):
-            if x == y or (x, y) in seen:
-                continue
-            count += 1
-            stack = [(x, y)]
-            seen.add((x, y))
-            while stack:
-                a, b = stack.pop()
-                for g in gens:
-                    p = (g[a], g[b])
-                    if p not in seen:
-                        seen.add(p)
-                        stack.append(p)
+    seen = set()
+    for root in reversed(finished):
+        if root in seen:
+            continue
+        count += 1
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for w in pred[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
     return count
 
 
-def _semigroup_pair_reachable(gens, m):
-    """For each distinct ordered pair, the set of pairs reachable by >= 1
-    generator applications (semigroup action, pairs may collapse)."""
-    results = {}
-    for x in range(m):
-        for y in range(m):
-            if x == y:
-                continue
-            reached = set()
-            frontier = [(x, y)]
-            while frontier:
-                new = []
-                for a, b in frontier:
-                    for g in gens:
-                        p = (g[a], g[b])
-                        if p not in reached:
-                            reached.add(p)
-                            new.append(p)
-                frontier = new
-            results[(x, y)] = reached
-    return results
+def is_2transitive(elements, m):
+    """The semigroup generated by `elements` is 2-transitive on [0,m).
+
+    Ordered pairs of distinct points only: if diagonal pairs were
+    included, no action would ever count as 2-transitive.  Vacuously
+    true for m <= 1.
+    """
+    return pair_components(list(elements), m) <= 1
 
 
 def is_right_2transitive(x):
     """Inn(X) 2-transitive on X (distinct ordered pairs)."""
-    if x.n <= 1:
-        return True
-    gens = [right_translation(x, j) for j in range(x.n)]
-    return _pair_orbit_count(gens, x.n) == 1
+    return pair_components([right_translation(x, j) for j in range(x.n)], x.n) <= 1
 
 
 def is_left_2transitive(x):
     """H_X 2-transitive on X (distinct ordered pairs)."""
-    if x.n <= 1:
-        return True
-    gens = [left_translation(x, i) for i in range(x.n)]
-    needed = {(a, b) for a in range(x.n) for b in range(x.n) if a != b}
-    reach = _semigroup_pair_reachable(gens, x.n)
-    return all(needed <= r for r in reach.values())
+    return pair_components([left_translation(x, i) for i in range(x.n)], x.n) <= 1
 
 
 def is_right_orbit_2transitive(x):
@@ -212,32 +195,9 @@ def is_right_orbit_2transitive(x):
     R_y (y in X) to the orbit X_i; singleton orbits are vacuous.
     """
     all_gens = [right_translation(x, j) for j in range(x.n)]
-    for orb in orbits(x):
-        if len(orb) <= 1:
-            continue
-        gens = restricted_action(all_gens, orb)
-        if _pair_orbit_count(gens, len(orb)) != 1:
-            return False
-    return True
-
-
-def is_left_orbit_2transitive(x):
-    """Every orbit subquandle's left-translation semigroup 2-transitive on the orbit.
-
-    Orbits are subquandles (x > y = R_y(x) stays in the orbit of x), so
-    the left translations of elements of an orbit restrict to it.
-    """
-    for orb in orbits(x):
-        m = len(orb)
-        if m <= 1:
-            continue
-        pos = {v: i for i, v in enumerate(orb)}
-        gens = [tuple(pos[x.table[i][j]] for j in orb) for i in orb]
-        needed = {(a, b) for a in range(m) for b in range(m) if a != b}
-        reach = _semigroup_pair_reachable(gens, m)
-        if not all(needed <= r for r in reach.values()):
-            return False
-    return True
+    return all(
+        pair_components(restricted_action(all_gens, orb), len(orb)) <= 1 for orb in orbits(x)
+    )
 
 
 def is_left_peak_2transitive(x):
@@ -314,7 +274,7 @@ def maximal_subgroup_at_idempotents(s):
                     break
         image = sorted(set(e))
         restricted = restricted_action(sorted(units), image)
-        results.append((e, GeneratedGroup(generators=tuple(restricted), elements=frozenset(restricted))))
+        results.append((e, GeneratedSemigroup(generators=tuple(restricted), elements=frozenset(restricted))))
     return results
 
 
@@ -344,27 +304,24 @@ class QuandlePolynomial:
         return " + ".join(parts) if parts else "0"
 
 
-def quandle_polynomial(x):
-    """qp_X: for each element, r = #{j : x>j = x} and c = #{i : i>x = i}."""
-    terms = []
+def _element_rc(x):
+    """Per element v: r = #{j : v>j = v} and c = #{i : i>v = i}."""
+    out = []
     for v in range(x.n):
         r = sum(1 for j in range(x.n) if x.table[v][j] == v)
         c = sum(1 for i in range(x.n) if x.table[i][v] == i)
-        terms.append((r, c))
-    return QuandlePolynomial(terms=tuple(sorted(terms)))
+        out.append((r, c))
+    return out
+
+
+def quandle_polynomial(x):
+    """qp_X: one (r, c) term per element, see `_element_rc`."""
+    return QuandlePolynomial(terms=tuple(sorted(_element_rc(x))))
 
 
 def _element_invariants(x):
-    orbit_of = {}
-    for orb in orbits(x):
-        for v in orb:
-            orbit_of[v] = len(orb)
-    inv = []
-    for v in range(x.n):
-        r = sum(1 for j in range(x.n) if x.table[v][j] == v)
-        c = sum(1 for i in range(x.n) if x.table[i][v] == i)
-        inv.append((r, c, orbit_of[v]))
-    return inv
+    orbit_size = {v: len(orb) for orb in orbits(x) for v in orb}
+    return [(r, c, orbit_size[v]) for v, (r, c) in enumerate(_element_rc(x))]
 
 
 def quandles_isomorphic(x, y):

@@ -155,7 +155,7 @@ def test_criterion_05_higher_even_quotients_reported():
     elapsed = time.monotonic() - start
     record_report(
         5,
-        "even-n higher quotients (conjectured order n, non-gating): %s"
+        "even-n higher quotients (observed Z_{n/2} + Z_{n/2}, order (n/2)^2; non-gating): %s"
         % (sorted(observed.items()),),
         elapsed,
     )

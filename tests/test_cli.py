@@ -116,6 +116,22 @@ def test_enumerate_catalog_dedup(tmp_path, capsys, monkeypatch):
     assert len(other.read_text().splitlines()) == 1
 
 
+def test_enumerate_catalog_line_not_json(tmp_path, capsys):
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text('{"n": 1, "table": [[0]]}\n{not json\n')
+    code, _, err = run(capsys, "enumerate", "2", "--catalog", str(catalog))
+    assert code == 3
+    assert "%s:2:" % catalog in err
+
+
+def test_enumerate_catalog_line_without_table(tmp_path, capsys):
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text('\n{"n": 2}\n')
+    code, _, err = run(capsys, "enumerate", "2", "--catalog", str(catalog))
+    assert code == 3
+    assert "%s:2:" % catalog in err
+
+
 def test_power_assoc_witness_found(tmp_path, capsys):
     path = tmp_path / "r3.json"
     run(capsys, "make", "dihedral", "3", "-o", str(path))

@@ -199,6 +199,15 @@ def test_verify_decomposition_r3_over_f5():
     assert (entry.dim_triv, entry.dim_st) == (1, 2)
 
 
+def test_verify_decomposition_r9_over_f5_not_simple():
+    # spin-up decides that the augmentation-zero summand of R_9 is not simple
+    report = verify_simple_decomposition(dihedral_quandle(9), GF(5))
+    assert report.verdict == "not-simple"
+    entry = report.entries[0]
+    assert entry.invariant
+    assert entry.simple is False
+
+
 def test_verify_decomposition_r5_over_q_unknown():
     report = verify_simple_decomposition(dihedral_quandle(5), QQ)
     assert report.verdict == "inconclusive"
@@ -226,12 +235,12 @@ def test_positive_verdict_bases_have_full_rank():
 def test_permutation_rank_basics():
     import itertools
 
-    from quandlekit.symmetry import GeneratedGroup
+    from quandlekit.symmetry import GeneratedSemigroup
 
     sym = tuple(tuple(p) for p in itertools.permutations(range(3)))
-    g = GeneratedGroup(generators=sym, elements=frozenset(sym))
+    g = GeneratedSemigroup(generators=sym, elements=frozenset(sym))
     assert permutation_rank(g, 3) == 2
-    one = GeneratedGroup(generators=((0, 1, 2),), elements=frozenset({(0, 1, 2)}))
+    one = GeneratedSemigroup(generators=((0, 1, 2),), elements=frozenset({(0, 1, 2)}))
     assert permutation_rank(one, 3) == 7
 
 

@@ -1,0 +1,245 @@
+"""Differential tests of the pair-digraph kernel against the searches it
+replaced.
+
+``pair_components`` counts strongly connected components of the digraph
+on ordered pairs of distinct points.  The oracles below are the earlier
+implementations: a depth-first orbit count for groups, a breadth-first
+reachability set from every pair for semigroups, and the one-step image
+check for collections closed under composition.  They are quadratic in
+the number of pairs and stay here only as references for small inputs.
+"""
+
+import itertools
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quandlekit.lattices import permutation_rank
+from quandlekit.quandles import (
+    Quandle,
+    alexander_quandle,
+    conjugation_quandle,
+    dihedral_quandle,
+    disjoint_union,
+    left_translation,
+    orbits,
+    right_translation,
+    trivial_quandle,
+)
+from quandlekit.symmetry import (
+    compose,
+    enumerate_quandles,
+    inner_group,
+    is_2transitive,
+    is_left_2transitive,
+    is_left_peak_2transitive,
+    is_right_2transitive,
+    is_right_orbit_2transitive,
+    left_semigroup,
+    maximal_subgroup_at_idempotents,
+    pair_components,
+    restricted_action,
+)
+
+
+def oracle_pair_orbit_count(gens, m):
+    """Orbits on ordered pairs of distinct points under the group
+    generated by gens (permutations of [0,m))."""
+    seen = set()
+    count = 0
+    for x in range(m):
+        for y in range(m):
+            if x == y or (x, y) in seen:
+                continue
+            count += 1
+            stack = [(x, y)]
+            seen.add((x, y))
+            while stack:
+                a, b = stack.pop()
+                for g in gens:
+                    p = (g[a], g[b])
+                    if p not in seen:
+                        seen.add(p)
+                        stack.append(p)
+    return count
+
+
+def oracle_pair_reachable(gens, m):
+    """For each distinct ordered pair, the set of pairs reachable by >= 1
+    generator applications (semigroup action, pairs may collapse)."""
+    results = {}
+    for x in range(m):
+        for y in range(m):
+            if x == y:
+                continue
+            reached = set()
+            frontier = [(x, y)]
+            while frontier:
+                new = []
+                for a, b in frontier:
+                    for g in gens:
+                        p = (g[a], g[b])
+                        if p not in reached:
+                            reached.add(p)
+                            new.append(p)
+                frontier = new
+            results[(x, y)] = reached
+    return results
+
+
+def oracle_semigroup_2transitive(gens, m):
+    needed = {(a, b) for a in range(m) for b in range(m) if a != b}
+    return all(needed <= r for r in oracle_pair_reachable(gens, m).values())
+
+
+def oracle_one_step_2transitive(elements, m):
+    """Every distinct pair is sent onto every distinct pair by one element."""
+    if m <= 1:
+        return True
+    needed = m * (m - 1)
+    for x1, y1 in itertools.permutations(range(m), 2):
+        seen = {(f[x1], f[y1]) for f in elements if f[x1] != f[y1]}
+        if len(seen) < needed:
+            return False
+    return True
+
+
+def oracle_right_2transitive(x):
+    gens = [right_translation(x, j) for j in range(x.n)]
+    return x.n <= 1 or oracle_pair_orbit_count(gens, x.n) == 1
+
+
+def oracle_left_2transitive(x):
+    return oracle_semigroup_2transitive([left_translation(x, i) for i in range(x.n)], x.n)
+
+
+def oracle_right_orbit_2transitive(x):
+    gens = [right_translation(x, j) for j in range(x.n)]
+    return all(
+        len(orb) <= 1 or oracle_pair_orbit_count(restricted_action(gens, orb), len(orb)) == 1
+        for orb in orbits(x)
+    )
+
+
+def oracle_left_peak_2transitive(x):
+    if x.n <= 1:
+        return True
+    h = left_semigroup(x)
+    maxrank = max(len(set(f)) for f in h.elements)
+    return any(
+        len(set(e)) == maxrank and oracle_one_step_2transitive(group.elements, len(set(e)))
+        for e, group in maximal_subgroup_at_idempotents(h)
+    )
+
+
+def relabel(q, rng):
+    sigma = list(range(q.n))
+    rng.shuffle(sigma)
+    table = [[0] * q.n for _ in range(q.n)]
+    for i in range(q.n):
+        for j in range(q.n):
+            table[sigma[i]][sigma[j]] = sigma[q.op(i, j)]
+    return Quandle.from_table(table)
+
+
+def cayley_table(gens):
+    """Cayley table of the permutation group generated by gens."""
+    elements = [tuple(range(len(gens[0])))]
+    index = {elements[0]: 0}
+    for f in elements:
+        for g in gens:
+            h = compose(g, f)
+            if h not in index:
+                index[h] = len(elements)
+                elements.append(h)
+    return [[index[compose(f, g)] for g in elements] for f in elements]
+
+
+def dihedral_group(k):
+    return cayley_table([tuple((i + 1) % k for i in range(k)), tuple(-i % k for i in range(k))])
+
+
+def family_quandles():
+    """Relabeled dihedral, Alexander, conjugation and union quandles of
+    order <= 15, with left-2-transitive ones among them."""
+    qs = [dihedral_quandle(n) for n in range(3, 16)]
+    alexander = ((5, 2), (7, 3), (7, 5), (8, 3), (9, 2), (11, 7), (13, 2))
+    qs += [alexander_quandle(n, t) for n, t in alexander]
+    qs += [
+        conjugation_quandle(dihedral_group(3)),
+        conjugation_quandle(dihedral_group(4)),
+        conjugation_quandle(dihedral_group(5)),
+        conjugation_quandle(cayley_table([(1, 2, 0, 3), (1, 0, 3, 2)])),  # A_4
+        conjugation_quandle(dihedral_group(7)),
+    ]
+    qs += [
+        disjoint_union(dihedral_quandle(3), dihedral_quandle(5)),
+        disjoint_union(dihedral_quandle(5), trivial_quandle(2)),
+        disjoint_union(alexander_quandle(7, 3), dihedral_quandle(4)),
+        disjoint_union(trivial_quandle(3), conjugation_quandle(dihedral_group(4))),
+    ]
+    rng = random.Random(20180515)
+    return [relabel(q, rng) for q in qs]
+
+
+def small_quandles():
+    return [q for n in range(1, 7) for q in enumerate_quandles(n)]
+
+
+def test_family_includes_left_2transitive_quandles():
+    qs = family_quandles()
+    assert max(q.n for q in qs) == 15
+    # R_3, R_5, R_11, R_13 and the Alexander quandles (7, 3), (7, 5)
+    assert sum(oracle_left_2transitive(q) for q in qs) == 6
+
+
+def test_predicates_match_oracles():
+    for q in small_quandles() + family_quandles():
+        assert is_right_2transitive(q) == oracle_right_2transitive(q), q.table
+        assert is_left_2transitive(q) == oracle_left_2transitive(q), q.table
+        assert is_right_orbit_2transitive(q) == oracle_right_orbit_2transitive(q), q.table
+
+
+def test_left_peak_matches_oracle():
+    for q in small_quandles() + family_quandles():
+        assert is_left_peak_2transitive(q) == oracle_left_peak_2transitive(q), q.table
+        for e, group in maximal_subgroup_at_idempotents(left_semigroup(q)):
+            m = len(set(e))
+            expected = oracle_one_step_2transitive(group.elements, m)
+            assert is_2transitive(group.elements, m) == expected, q.table
+
+
+def test_permutation_rank_matches_orbit_count():
+    for q in small_quandles() + family_quandles():
+        group = inner_group(q)
+        expected = oracle_pair_orbit_count(list(group.elements), q.n) + 1
+        assert permutation_rank(group, q.n) == expected, q.table
+
+
+def permutation_sets(m):
+    return st.tuples(st.just(m), st.lists(st.permutations(list(range(m))).map(tuple), max_size=3))
+
+
+def map_sets(m):
+    maps = st.lists(st.integers(0, m - 1), min_size=m, max_size=m).map(tuple)
+    return st.tuples(st.just(m), st.lists(maps, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(permutation_sets))
+def test_group_components_are_pair_orbits(case):
+    m, gens = case
+    assert pair_components(gens, m) == oracle_pair_orbit_count(gens, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(map_sets))
+def test_semigroup_single_component_is_2transitive(case):
+    m, gens = case
+    assert (pair_components(gens, m) <= 1) == oracle_semigroup_2transitive(gens, m)
+
+
+def test_constant_maps_isolate_every_pair():
+    assert pair_components([(0, 0, 0), (2, 2, 2)], 3) == 6
+    assert pair_components([], 1) == 0
