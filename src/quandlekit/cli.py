@@ -198,8 +198,23 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
+# family -> (number of parameters, what they are)
+MAKE_PARAMS = {
+    "trivial": (1, "n"),
+    "dihedral": (1, "n"),
+    "alexander": (2, "n and t"),
+    "conj": (1, "a Cayley table file"),
+    "core": (1, "a Cayley table file"),
+    "union": (2, "two quandle files"),
+    "table": (1, "a quandle file"),
+}
+
+
 def cmd_make(args):
     fam = args.family
+    count, what = MAKE_PARAMS[fam]
+    if len(args.params) != count:
+        raise QuandleKitError("%s needs %s, got %d parameter(s)" % (fam, what, len(args.params)))
     if fam == "trivial":
         q = trivial_quandle(int(args.params[0]))
     elif fam == "dihedral":
@@ -212,10 +227,8 @@ def cmd_make(args):
         q = core_quandle(_read_json(args.params[0])["table"])
     elif fam == "union":
         q = disjoint_union(load_quandle(args.params[0]), load_quandle(args.params[1]))
-    elif fam == "table":
-        q = load_quandle(args.params[0])
     else:
-        raise QuandleKitError("unknown family %r" % fam)
+        q = load_quandle(args.params[0])
     text = json.dumps(to_json_dict(q), sort_keys=True)
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -247,7 +260,7 @@ def cmd_check(args):
     d = _read_json(args.file)
     if not isinstance(d, dict) or "n" not in d or "table" not in d:
         raise MalformedTableError("bad-structure", "expected an object with 'n' and 'table'")
-    report = validate_table(d["n"], [list(r) for r in d["table"]])
+    report = validate_table(d["n"], d["table"])
     if not report.ok:
         payload = {"valid": False, "violations": [[a, list(w)] for a, w in report.violations]}
         if args.json:
@@ -547,7 +560,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make", help="construct a quandle and write its JSON")
-    p.add_argument("family", choices=["trivial", "dihedral", "alexander", "conj", "core", "union", "table"])
+    p.add_argument("family", choices=list(MAKE_PARAMS))
     p.add_argument("params", nargs="+")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_make)

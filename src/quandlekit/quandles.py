@@ -30,11 +30,15 @@ class ValidationReport:
 
 
 def _check_shape(n, table):
+    if not isinstance(n, int) or isinstance(n, bool) or not isinstance(table, (list, tuple)):
+        raise MalformedTableError("bad-structure", "'n' must be an int and 'table' a list")
     if n < 1:
         raise EmptyQuandleError("quandle size must be >= 1, got %d" % n)
     if len(table) != n:
         raise MalformedTableError("ragged-rows", "expected %d rows, got %d" % (n, len(table)))
     for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            raise MalformedTableError("bad-structure", "row %d is not a list" % i)
         if len(row) != n:
             raise MalformedTableError("ragged-rows", "row %d has length %d, expected %d" % (i, len(row), n))
         for j, v in enumerate(row):
@@ -260,12 +264,8 @@ def to_json_dict(x):
 def from_json_dict(d, validate=True):
     if not isinstance(d, dict) or "n" not in d or "table" not in d:
         raise MalformedTableError("bad-structure", "expected an object with 'n' and 'table'")
-    n = d["n"]
-    table = d["table"]
-    if not isinstance(n, int) or not isinstance(table, list):
-        raise MalformedTableError("bad-structure", "'n' must be an int and 'table' a list")
-    _check_shape(n, table)
-    return Quandle.from_table(table, validate=validate)
+    _check_shape(d["n"], d["table"])
+    return Quandle.from_table(d["table"], validate=validate)
 
 
 def dumps(x):

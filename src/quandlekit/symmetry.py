@@ -422,48 +422,106 @@ def _diagonal_fixing_perms(n, j):
     return out
 
 
-def _partial_axiom3_ok(t, n, c):
-    """Check axiom III instances that became decidable when column c was placed."""
-    for j in range(c + 1):
-        for k in range(c + 1):
-            m = t[j][k]
-            if m > c:
-                continue
-            if j != c and k != c and m != c:
-                continue
-            for i in range(n):
-                if t[t[i][j]][k] != t[t[i][k]][m]:
-                    return False
-    return True
+def _partitions(m, largest):
+    """Partitions of m into parts <= largest, as non-increasing tuples."""
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, largest), 0, -1):
+        for rest in _partitions(m - part, part):
+            yield (part,) + rest
+
+
+def _cycle_type_reps(n):
+    """One permutation of [0,n) fixing 0 per cycle type on {1..n-1}.
+
+    A partition (a, b, ...) of n-1 becomes the cycles (1 2 .. a),
+    (a+1 .. a+b), ... on consecutive points.
+    """
+    reps = []
+    for parts in _partitions(n - 1, n - 1):
+        perm = [0] * n
+        start = 1
+        for size in parts:
+            for i in range(start, start + size - 1):
+                perm[i] = i + 1
+            perm[start + size - 1] = start
+            start += size
+        reps.append(tuple(perm))
+    return reps
 
 
 @lru_cache(maxsize=None)
 def enumerate_quandles(n, bound=DEFAULT_ENUM_BOUND):
     """All isomorphism classes of quandles of order n, as canonical representatives.
 
-    Columns are filled left to right; each column is a permutation fixing
-    its own index (axioms I-II by construction) with incremental axiom
-    III pruning; classes deduplicated by canonical form.
+    The table is built column by column, column j being the permutation
+    R_j, which fixes j (axioms I-II by construction):
+
+    1. Column 0 ranges over `_cycle_type_reps(n)`: relabeling {1..n-1}
+       conjugates R_0 into the representative of its cycle type.
+    2. Axiom III says R_{R_k(j)} = R_k R_j R_k^-1, so each placed column
+       fills, or contradicts, columns R_k(j) and R_j(k) for every placed
+       column k.  A branch places the lowest empty column, propagates
+       until nothing more is forced, and undoes its columns when it
+       backtracks.  Every pair of placed columns has then been checked,
+       so a complete table is a quandle.
+    3. Complete tables are bucketed by partition type and per-element
+       invariants; one is kept only when `quandles_isomorphic` matches no
+       representative of its bucket.  `canonical_form` runs once per
+       class, and the result is sorted by canonical table.
     """
     if n > bound:
         raise CapacityError("enumeration bounded at n = %d (requested %d)" % (bound, n))
     if n < 1:
         raise CapacityError("enumeration needs n >= 1")
-    columns = {j: _diagonal_fixing_perms(n, j) for j in range(n)}
-    t = [[None] * n for _ in range(n)]
-    found = set()
+    candidates = [_cycle_type_reps(n)] + [_diagonal_fixing_perms(n, j) for j in range(1, n)]
+    cols = [None] * n
+    invs = [None] * n
+    buckets = {}
 
-    def place(c):
-        if c == n:
-            found.add(canonical_form(Quandle(n, tuple(tuple(r) for r in t))))
+    def place(j, col, filled):
+        """Set column j and every column it forces; False on a contradiction."""
+        cols[j], invs[j] = col, inverse(col)
+        filled.append(j)
+        queue = [j]
+        while queue:
+            a = queue.pop()
+            ra, ra_inv = cols[a], invs[a]
+            for b in range(n):
+                rb = cols[b]
+                if rb is None:
+                    continue
+                for target, forced in (
+                    (rb[a], compose(compose(rb, ra), invs[b])),
+                    (ra[b], compose(compose(ra, rb), ra_inv)),
+                ):
+                    if cols[target] is None:
+                        cols[target], invs[target] = forced, inverse(forced)
+                        filled.append(target)
+                        queue.append(target)
+                    elif cols[target] != forced:
+                        return False
+        return True
+
+    def keep():
+        q = Quandle(n, tuple(zip(*cols)))
+        reps = buckets.setdefault((partition_type(q), tuple(sorted(_element_invariants(q)))), [])
+        if all(quandles_isomorphic(q, r) is None for r in reps):
+            reps.append(q)
+
+    def search():
+        if None not in cols:
+            keep()
             return
-        for col in columns[c]:
-            for i in range(n):
-                t[i][c] = col[i]
-            if _partial_axiom3_ok(t, n, c):
-                place(c + 1)
-        for i in range(n):
-            t[i][c] = None
+        c = cols.index(None)
+        for col in candidates[c]:
+            filled = []
+            if place(c, col, filled):
+                search()
+            for j in filled:
+                cols[j] = invs[j] = None
 
-    place(0)
-    return tuple(Quandle(n, tbl) for tbl in sorted(found))
+    search()
+    found = sorted(canonical_form(q) for reps in buckets.values() for q in reps)
+    return tuple(Quandle(n, tbl) for tbl in found)

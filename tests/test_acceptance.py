@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, one summary line each.
 
-Gating criteria assert their expected values and time budgets; the two
-exploratory criteria (the order-6 enumeration and the higher filtration
-quotients for even n) only record what was observed.
+Gating criteria assert their expected values and time budgets; the one
+exploratory criterion (the higher filtration quotients for even n) only
+records what was observed.
 """
 
 import itertools
@@ -96,13 +96,12 @@ def test_criterion_01_stretch_order6():
         sum(is_left_peak_2transitive(q) for q in qs),
     )
     elapsed = time.monotonic() - start
-    record_report(
+    record(
         1,
-        "stretch n=6 counts %s (expected (73, 42, 14), matches=%s, non-gating)"
-        % (counts, counts == (73, 42, 14)),
+        counts == (73, 42, 14) and elapsed < 30,
+        "classes/right-2t/left-2t for n=6: %s" % (counts,),
         elapsed,
     )
-    assert elapsed < 600
 
 
 def test_criterion_02_power_associativity():

@@ -70,6 +70,31 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_make_names_missing_parameters(capsys):
+    code, _, err = run(capsys, "make", "alexander", "5")
+    assert code == 2
+    assert "alexander needs n and t" in err
+    code, _, err = run(capsys, "make", "dihedral", "5", "3")
+    assert code == 2
+    assert "dihedral needs n" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": "2", "table": [[0, 0], [1, 1]]},
+        {"n": True, "table": [[0]]},
+        {"n": 2, "table": "01"},
+        {"n": 2, "table": [0, 1]},
+    ],
+)
+def test_check_wrongly_typed_table_is_parse_error(tmp_path, capsys, doc):
+    path = write_json(tmp_path / "typed.json", doc)
+    code, _, err = run(capsys, "check", path)
+    assert code == 3
+    assert "parse error" in err
+
+
 def test_exit_code_axiom_violation(tmp_path, capsys):
     path = write_json(tmp_path / "bad.json", {"n": 2, "table": [[1, 0], [0, 1]]})
     code, stdout, _ = run(capsys, "check", path)
