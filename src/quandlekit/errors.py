@@ -27,7 +27,10 @@ class AxiomViolationError(QuandleKitError):
 
 
 class EmptyQuandleError(QuandleKitError):
-    """n = 0 is rejected uniformly."""
+    """A constructor was asked for a quandle of size n < 1.
+
+    A table of size n < 1 is a MalformedTableError instead.
+    """
 
 
 class NonUnitParameterError(QuandleKitError):

@@ -33,7 +33,7 @@ def _check_shape(n, table):
     if not isinstance(n, int) or isinstance(n, bool) or not isinstance(table, (list, tuple)):
         raise MalformedTableError("bad-structure", "'n' must be an int and 'table' a list")
     if n < 1:
-        raise EmptyQuandleError("quandle size must be >= 1, got %d" % n)
+        raise MalformedTableError("bad-structure", "table size must be >= 1, got %d" % n)
     if len(table) != n:
         raise MalformedTableError("ragged-rows", "expected %d rows, got %d" % (n, len(table)))
     for i, row in enumerate(table):
@@ -114,9 +114,6 @@ class Quandle:
     def op(self, i, j):
         return self.table[i][j]
 
-    def __mul__(self, other):
-        return disjoint_union(self, other)
-
 
 def trivial_quandle(n):
     """Quandle with i > j = i."""
@@ -143,15 +140,15 @@ def alexander_quandle(n, t):
 
 
 def _validate_group(cayley):
+    """Identity and inverses of a group Cayley table.
+
+    MalformedTableError when the table is not a square list of indices,
+    GroupAxiomError when it is one but not a group table.
+    """
+    if not isinstance(cayley, (list, tuple)):
+        raise MalformedTableError("bad-structure", "a Cayley table must be a list of rows")
     n = len(cayley)
-    if n == 0:
-        raise GroupAxiomError("empty Cayley table")
-    for row in cayley:
-        if len(row) != n:
-            raise GroupAxiomError("Cayley table is not square")
-        for v in row:
-            if not 0 <= v < n:
-                raise GroupAxiomError("Cayley entry out of range")
+    _check_shape(n, cayley)
     identity = None
     for e in range(n):
         if all(cayley[e][j] == j for j in range(n)) and all(cayley[i][e] == i for i in range(n)):

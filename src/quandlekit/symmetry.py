@@ -210,15 +210,10 @@ def is_left_peak_2transitive(x):
     one pass vacuously.  For a quandle whose rows generate a group this
     reduces to plain 2-transitivity of that group on X.
     """
-    if x.n <= 1:
-        return True
-    h = left_semigroup(x)
-    maxrank = max(len(set(f)) for f in h.elements)
-    for e, group in maximal_subgroup_at_idempotents(h):
-        image = len(set(e))
-        if image == maxrank and is_2transitive(group.elements, image):
-            return True
-    return False
+    return any(
+        is_2transitive(group.elements, len(set(e)))
+        for e, group in maximal_subgroup_at_idempotents(left_semigroup(x))
+    )
 
 
 def _is_full_cycle_off_fixed_point(f, x, n):
@@ -257,23 +252,23 @@ def is_left_cyclic_type(x):
 
 
 def maximal_subgroup_at_idempotents(s):
-    """For each idempotent e of the semigroup, the group of units of eSe
-    restricted to the image of e (reindexed to image coordinates)."""
+    """For each peak idempotent e of the semigroup S, the maximal subgroup
+    at e: the group of units of eSe restricted to the image of e
+    (reindexed to image coordinates).
+
+    Peak idempotents are those whose image is as large as that of any
+    element of S.  An element g = efe of eSe is a unit exactly when it
+    permutes the image of e, that is, when rank(g) = rank(e), so the group
+    is {efe : f in S} filtered by rank.
+    """
     elements = sorted(s.elements)
+    peak = max((len(set(f)) for f in elements), default=0)
     results = []
     for e in elements:
-        if compose(e, e) != e:
+        if len(set(e)) != peak or compose(e, e) != e:
             continue
-        monoid = {compose(e, compose(f, e)) for f in elements}
-        monoid.add(e)
-        units = set()
-        for g in monoid:
-            for h in monoid:
-                if compose(g, h) == e and compose(h, g) == e:
-                    units.add(g)
-                    break
-        image = sorted(set(e))
-        restricted = restricted_action(sorted(units), image)
+        units = {g for g in (compose(e, compose(f, e)) for f in elements) if len(set(g)) == peak}
+        restricted = restricted_action(sorted(units), sorted(set(e)))
         results.append((e, GeneratedSemigroup(generators=tuple(restricted), elements=frozenset(restricted))))
     return results
 
@@ -451,9 +446,23 @@ def _cycle_type_reps(n):
     return reps
 
 
-@lru_cache(maxsize=None)
 def enumerate_quandles(n, bound=DEFAULT_ENUM_BOUND):
-    """All isomorphism classes of quandles of order n, as canonical representatives.
+    """All isomorphism classes of quandles of order n, as canonical
+    representatives sorted by table; CapacityError when n exceeds bound.
+
+    Calls with different bounds share one cached search per n, described
+    at `_enumerate`.
+    """
+    if n > bound:
+        raise CapacityError("enumeration bounded at n = %d (requested %d)" % (bound, n))
+    if n < 1:
+        raise CapacityError("enumeration needs n >= 1")
+    return _enumerate(n)
+
+
+@lru_cache(maxsize=None)
+def _enumerate(n):
+    """The search behind `enumerate_quandles`, cached per n.
 
     The table is built column by column, column j being the permutation
     R_j, which fixes j (axioms I-II by construction):
@@ -471,10 +480,6 @@ def enumerate_quandles(n, bound=DEFAULT_ENUM_BOUND):
        representative of its bucket.  `canonical_form` runs once per
        class, and the result is sorted by canonical table.
     """
-    if n > bound:
-        raise CapacityError("enumeration bounded at n = %d (requested %d)" % (bound, n))
-    if n < 1:
-        raise CapacityError("enumeration needs n >= 1")
     candidates = [_cycle_type_reps(n)] + [_diagonal_fixing_perms(n, j) for j in range(1, n)]
     cols = [None] * n
     invs = [None] * n

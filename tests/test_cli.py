@@ -95,6 +95,24 @@ def test_check_wrongly_typed_table_is_parse_error(tmp_path, capsys, doc):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (("check", "FILE"), {"n": 0, "table": []}),
+        (("check", "FILE"), {"n": 2, "table": [[0, 0], [1]]}),
+        (("iso", "FILE", "FILE"), {"n": 2, "table": [[0, 0], [1, 2]]}),
+        (("make", "conj", "FILE"), {"n": 2}),
+        (("make", "core", "FILE"), {"table": [[0, "1"], ["1", 0]]}),
+        (("make", "conj", "FILE"), {"table": []}),
+    ],
+)
+def test_malformed_table_file_is_named_parse_error(tmp_path, capsys, command, doc):
+    path = write_json(tmp_path / "faulty.json", doc)
+    code, _, err = run(capsys, *(path if arg == "FILE" else arg for arg in command))
+    assert code == 3
+    assert err.startswith("parse error: %s: " % path)
+
+
 def test_exit_code_axiom_violation(tmp_path, capsys):
     path = write_json(tmp_path / "bad.json", {"n": 2, "table": [[1, 0], [0, 1]]})
     code, stdout, _ = run(capsys, "check", path)

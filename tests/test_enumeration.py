@@ -86,6 +86,11 @@ def test_enumeration_matches_oracle(n):
     assert enumerate_quandles(n) == oracle_enumerate(n)
 
 
+def test_one_search_per_order_whatever_the_bound():
+    assert enumerate_quandles(4) is enumerate_quandles(4, bound=6)
+    assert enumerate_quandles(4, bound=5) is enumerate_quandles(4, bound=4)
+
+
 @pytest.mark.parametrize("n", sorted(PARTITION_COUNTS))
 def test_cycle_type_reps(n):
     reps = _cycle_type_reps(n)

@@ -1,5 +1,5 @@
-"""Differential tests of the pair-digraph kernel against the searches it
-replaced.
+"""Differential tests of the pair-digraph kernel and the peak maximal
+subgroups against the searches they replaced.
 
 ``pair_components`` counts strongly connected components of the digraph
 on ordered pairs of distinct points.  The oracles below are the earlier
@@ -7,10 +7,13 @@ implementations: a depth-first orbit count for groups, a breadth-first
 reachability set from every pair for semigroups, and the one-step image
 check for collections closed under composition.  They are quadratic in
 the number of pairs and stay here only as references for small inputs.
+``oracle_maximal_subgroups`` finds the units of eSe at every idempotent by
+a pairwise search for inverses, quadratic in |eSe|.
 """
 
 import itertools
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,9 @@ from quandlekit.quandles import (
     trivial_quandle,
 )
 from quandlekit.symmetry import (
+    DEFAULT_CLOSURE_CAP,
+    GeneratedSemigroup,
+    _closure,
     compose,
     enumerate_quandles,
     inner_group,
@@ -122,14 +128,41 @@ def oracle_right_orbit_2transitive(x):
     )
 
 
+def oracle_maximal_subgroups(s):
+    """For each idempotent e of the semigroup, the group of units of eSe
+    restricted to the image of e (reindexed to image coordinates)."""
+    elements = sorted(s.elements)
+    results = []
+    for e in elements:
+        if compose(e, e) != e:
+            continue
+        monoid = {compose(e, compose(f, e)) for f in elements}
+        monoid.add(e)
+        units = set()
+        for g in monoid:
+            for h in monoid:
+                if compose(g, h) == e and compose(h, g) == e:
+                    units.add(g)
+                    break
+        image = sorted(set(e))
+        restricted = restricted_action(sorted(units), image)
+        results.append((e, GeneratedSemigroup(generators=tuple(restricted), elements=frozenset(restricted))))
+    return results
+
+
+def oracle_peak_subgroups(s):
+    """Element sets of `oracle_maximal_subgroups` at the idempotents of
+    maximal rank, keyed by idempotent."""
+    maxrank = max((len(set(f)) for f in s.elements), default=0)
+    return {e: group.elements for e, group in oracle_maximal_subgroups(s) if len(set(e)) == maxrank}
+
+
 def oracle_left_peak_2transitive(x):
     if x.n <= 1:
         return True
-    h = left_semigroup(x)
-    maxrank = max(len(set(f)) for f in h.elements)
     return any(
-        len(set(e)) == maxrank and oracle_one_step_2transitive(group.elements, len(set(e)))
-        for e, group in maximal_subgroup_at_idempotents(h)
+        oracle_one_step_2transitive(elements, len(set(e)))
+        for e, elements in oracle_peak_subgroups(left_semigroup(x)).items()
     )
 
 
@@ -210,6 +243,21 @@ def test_left_peak_matches_oracle():
             assert is_2transitive(group.elements, m) == expected, q.table
 
 
+def test_peak_subgroups_match_oracle():
+    for q in small_quandles() + family_quandles():
+        h = left_semigroup(q)
+        found = {e: group.elements for e, group in maximal_subgroup_at_idempotents(h)}
+        assert found == oracle_peak_subgroups(h), q.table
+
+
+def test_left_peak_of_conj_s4_is_fast():
+    # the pairwise unit search took about 264 s here
+    q = conjugation_quandle(cayley_table([(1, 0, 2, 3), (1, 2, 3, 0)]))
+    start = time.perf_counter()
+    assert is_left_peak_2transitive(q) is False
+    assert time.perf_counter() - start < 30
+
+
 def test_permutation_rank_matches_orbit_count():
     for q in small_quandles() + family_quandles():
         group = inner_group(q)
@@ -238,6 +286,15 @@ def test_group_components_are_pair_orbits(case):
 def test_semigroup_single_component_is_2transitive(case):
     m, gens = case
     assert (pair_components(gens, m) <= 1) == oracle_semigroup_2transitive(gens, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(map_sets))
+def test_peak_subgroups_of_random_semigroups(case):
+    m, gens = case
+    s = GeneratedSemigroup(tuple(gens), frozenset(_closure(gens, False, DEFAULT_CLOSURE_CAP)))
+    found = {e: group.elements for e, group in maximal_subgroup_at_idempotents(s)}
+    assert found == oracle_peak_subgroups(s)
 
 
 def test_constant_maps_isolate_every_pair():
