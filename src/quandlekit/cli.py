@@ -50,6 +50,7 @@ from .quandles import (
     disjoint_union,
     from_json_dict,
     orbits,
+    orbit_partition_type,
     partition_type,
     to_json_dict,
     trivial_quandle,
@@ -57,11 +58,11 @@ from .quandles import (
 )
 from .rings import (
     DEFAULT_ISO_BUDGET,
+    find_ring_isomorphism,
     is_ring_isomorphism,
     power_assoc_witness,
     quandle_ring,
     right_annihilator_count,
-    ring_iso_brute_force,
 )
 from .symmetry import (
     canonical_form,
@@ -211,6 +212,23 @@ def load_quandle(path):
         return from_json_dict(doc)
 
 
+def _read_matrix(path, domain):
+    """The matrix in the JSON file at path, its entries read into domain."""
+    doc = _read_json(path)
+    try:
+        return [[domain.from_json(v) for v in row] for row in doc]
+    except (TypeError, ValueError, QuandleKitError) as exc:
+        message = "%s: not a matrix over %r: %s" % (path, domain, exc)
+        raise MalformedTableError("bad-structure", message) from exc
+
+
+def _int_param(text):
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise QuandleKitError("expected an integer, got %r" % (text,)) from exc
+
+
 def _emit(args, payload, text_lines):
     if getattr(args, "json", False):
         doc = {
@@ -242,11 +260,11 @@ def cmd_make(args):
     if len(args.params) != count:
         raise QuandleKitError("%s needs %s, got %d parameter(s)" % (fam, what, len(args.params)))
     if fam == "trivial":
-        q = trivial_quandle(int(args.params[0]))
+        q = trivial_quandle(_int_param(args.params[0]))
     elif fam == "dihedral":
-        q = dihedral_quandle(int(args.params[0]))
+        q = dihedral_quandle(_int_param(args.params[0]))
     elif fam == "alexander":
-        q = alexander_quandle(int(args.params[0]), int(args.params[1]))
+        q = alexander_quandle(_int_param(args.params[0]), _int_param(args.params[1]))
     elif fam == "conj":
         q = _from_cayley(args.params[0], conjugation_quandle)
     elif fam == "core":
@@ -265,11 +283,13 @@ def cmd_make(args):
 
 
 def quandle_summary(q):
+    orbs = orbits(q)
+    qp = quandle_polynomial(q)
     return {
         "n": q.n,
-        "orbits": [list(o) for o in orbits(q)],
-        "partition_type": list(partition_type(q)),
-        "connected": len(orbits(q)) == 1,
+        "orbits": [list(o) for o in orbs],
+        "partition_type": list(orbit_partition_type(orbs, q.n)),
+        "connected": len(orbs) == 1,
         "latin": all(len(set(row)) == q.n for row in q.table),
         "right2t": is_right_orbit_2transitive(q),
         "right2t_global": is_right_2transitive(q),
@@ -277,8 +297,8 @@ def quandle_summary(q):
         "left2t_global": is_left_2transitive(q),
         "right_cyclic": is_right_cyclic_type(q),
         "left_cyclic": is_left_cyclic_type(q),
-        "qp": quandle_polynomial(q).to_json(),
-        "qp_str": str(quandle_polynomial(q)),
+        "qp": qp.to_json(),
+        "qp_str": str(qp),
     }
 
 
@@ -322,7 +342,9 @@ def _catalog_path(args):
     return os.environ.get(CATALOG_ENV)
 
 
-def _append_catalog(path, quandles):
+def _append_catalog(path, quandles, flags):
+    """Append each quandle not yet in the catalog at path, with its
+    (right2t, left2t) pair from flags; returns how many were added."""
     seen = set()
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -338,7 +360,7 @@ def _append_catalog(path, quandles):
                     raise MalformedTableError("bad-structure", message) from exc
     added = 0
     with open(path, "a", encoding="utf-8") as fh:
-        for q in quandles:
+        for q, (right2t, left2t) in zip(quandles, flags):
             key = (q.n, q.table)
             if key in seen:
                 continue
@@ -347,8 +369,8 @@ def _append_catalog(path, quandles):
                 "n": q.n,
                 "table": [list(r) for r in q.table],
                 "partition_type": list(partition_type(q)),
-                "right2t": is_right_orbit_2transitive(q),
-                "left2t": is_left_peak_2transitive(q),
+                "right2t": right2t,
+                "left2t": left2t,
                 "qp": quandle_polynomial(q).to_json(),
             }
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -358,15 +380,16 @@ def _append_catalog(path, quandles):
 
 def cmd_enumerate(args):
     qs = enumerate_quandles(args.n, bound=args.bound)
+    flags = [(is_right_orbit_2transitive(q), is_left_peak_2transitive(q)) for q in qs]
     counts = {
         "n": args.n,
         "classes": len(qs),
-        "right2t": sum(is_right_orbit_2transitive(q) for q in qs),
-        "left2t": sum(is_left_peak_2transitive(q) for q in qs),
+        "right2t": sum(right2t for right2t, _ in flags),
+        "left2t": sum(left2t for _, left2t in flags),
     }
     path = _catalog_path(args)
     if path:
-        counts["catalog_added"] = _append_catalog(path, qs)
+        counts["catalog_added"] = _append_catalog(path, qs, flags)
     _emit(
         args,
         counts,
@@ -381,7 +404,7 @@ def cmd_enumerate(args):
 def cmd_power_assoc(args):
     q = load_quandle(args.file)
     domain = parse_domain(args.domain)
-    box = tuple(int(v) for v in args.box.split(","))
+    box = tuple(_int_param(v) for v in args.box.split(","))
     witness = power_assoc_witness(q, domain, box=box)
     if witness is None:
         payload = {"witness": None, "domain": repr(domain), "box": list(box)}
@@ -450,16 +473,15 @@ def cmd_iso(args):
         rx = quandle_ring(qx, domain)
         ry = quandle_ring(qy, domain)
         if args.matrix:
-            matrix = _read_json(args.matrix)
-            ok = is_ring_isomorphism(rx, ry, matrix)
+            ok = is_ring_isomorphism(rx, ry, _read_matrix(args.matrix, domain))
             payload["ring_iso_matrix_valid"] = ok
             lines.append("given matrix is a ring isomorphism: %s" % ok)
         elif domain.char:
-            found = ring_iso_brute_force(rx, ry, domain.char, budget=args.budget)
+            found = find_ring_isomorphism(rx, ry, domain.char, budget=args.budget)
             payload["ring_iso"] = found
             lines.append("ring isomorphism search: %s" % ("found" if found else "none"))
         else:
-            raise QuandleKitError("brute-force ring search needs a prime field; pass --matrix otherwise")
+            raise QuandleKitError("the ring isomorphism search needs a prime field; pass --matrix otherwise")
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -616,7 +638,13 @@ def build_parser():
     p.add_argument("y")
     p.add_argument("--ring-domain", default=None)
     p.add_argument("--matrix", default=None, help="JSON file with a candidate matrix")
-    p.add_argument("--budget", type=int, default=DEFAULT_ISO_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_ISO_BUDGET,
+        help="cap on the candidate vectors scanned plus the search nodes visited by the ring "
+        "isomorphism search; exit 5 beyond it (default %(default)s)",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_iso)
 
@@ -649,7 +677,7 @@ def main(argv=None):
     except CapacityError as exc:
         print("capacity exceeded: %s" % exc, file=sys.stderr)
         return EXIT_CAPACITY
-    except (QuandleKitError, ValueError, IndexError) as exc:
+    except QuandleKitError as exc:
         print("bad parameters: %s" % exc, file=sys.stderr)
         return EXIT_BAD_PARAMS
 

@@ -7,7 +7,10 @@ from .errors import PreconditionError
 from .quandles import Quandle, disjoint_union, trivial_quandle
 from .rings import is_ring_isomorphism, quandle_ring
 
-# 4-element pair: rings isomorphic over characteristic 3.
+# 4-element pair.  Gated by the tests: PAIR4_MATRIX is a ring isomorphism
+# over F_3 (acceptance criterion 06), and find_ring_isomorphism returns a
+# certified isomorphism over F_3, F_5 and F_7 and none over F_2
+# (tests/test_ring_iso.py).  Whether the rings are isomorphic over Z is open.
 PAIR4_X = Quandle.from_table([
     [0, 0, 1, 1],
     [1, 1, 0, 0],

@@ -3,7 +3,7 @@
 Four kinds are supported: unbounded integers, exact rationals, prime
 fields, and complex floating point.  The complex domain is quarantined:
 it is only used by the numeric dihedral decomposition checker and never
-feeds normal-form or brute-force code.
+feeds normal-form or search code.
 """
 
 from fractions import Fraction

@@ -234,8 +234,13 @@ def orbits(x):
 
 def partition_type(x):
     """lambda[j-1] = number of orbits of cardinality j, for 1 <= j <= n."""
-    lam = [0] * x.n
-    for orb in orbits(x):
+    return orbit_partition_type(orbits(x), x.n)
+
+
+def orbit_partition_type(orbs, n):
+    """partition_type from an orbit partition of [0,n) already computed."""
+    lam = [0] * n
+    for orb in orbs:
         lam[len(orb) - 1] += 1
     return tuple(lam)
 

@@ -13,6 +13,7 @@ from .errors import (
     CapacityError,
     DimensionMismatchError,
     DomainMismatchError,
+    PreconditionError,
     QuandleKitError,
 )
 from .linalg import field_rank
@@ -228,22 +229,137 @@ def is_ring_isomorphism(r1, r2, matrix):
     return field_rank(rows, dom) == r1.dim
 
 
-def ring_iso_brute_force(r1, r2, p, budget=DEFAULT_ISO_BUDGET, invertible_only=False):
-    """Exhaustive matrix search over F_p in row-major lexicographic order;
-    first isomorphism found, else None."""
+def _multiplication_matrix(ring, u, side, p):
+    """The matrix over F_p of w -> u * w (side "left") or w -> w * u."""
+    n = ring.dim
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            # column j: u_i * e_i * e_j on the left, u_i * e_j * e_i on the right
+            for k, s in (ring.structure[i][j] if side == "left" else ring.structure[j][i]).items():
+                m[k][j] += u[i] * s
+    return [[x % p for x in row] for row in m]
+
+
+def _multiplication_invariants(ring, u, p):
+    """The ranks over F_p of w -> u * w and w -> w * u, and the traces of
+    each map and of its square.  A ring isomorphism phi keeps them: it
+    conjugates the maps of u to those of phi(u)."""
+    n = ring.dim
+    out = ()
+    for side in ("left", "right"):
+        m = _multiplication_matrix(ring, u, side, p)
+        trace = sum(m[i][i] for i in range(n)) % p
+        trace_of_square = sum(m[i][k] * m[k][i] for i in range(n) for k in range(n)) % p
+        out += (field_rank(m, GF(p)), trace, trace_of_square)
+    return out
+
+
+def find_ring_isomorphism(r1, r2, p, budget=DEFAULT_ISO_BUDGET):
+    """A ring isomorphism r1 -> r2 over F_p, as the matrix whose column j
+    is phi(e_j), or None when there is none.
+
+    Needs e_i * e_i = c_i * e_i in r1 for every i, as in a quandle ring and
+    in direct sums of quandle rings.  Backtracking over the images of the
+    basis elements: column i starts from the nonzero v of r2 with
+    v * v = c_i * v (for a quandle ring, the nonzero idempotents of r2)
+    whose multiplication maps have the ranks and traces (of the map and of
+    its square) of those of e_i, found by one scan of F_p^n.  Each step places the column with the
+    fewest candidates left and skips a candidate in the span of the placed
+    columns.  Then, for each pair (a, b) that involves one unplaced column
+    k besides placed ones (a, b and the support of e_a * e_b),
+    phi(e_a) * phi(e_b) = phi(e_a * e_b) is a linear equation in phi(e_k),
+    and the candidates of column k narrow to its solutions.  For a quandle
+    ring, placing e_a and e_b leaves one candidate for e_(a > b).  The
+    matrix returned is confirmed by is_ring_isomorphism.
+
+    budget caps the candidate vectors scanned (F_p^n once, then each
+    narrowing) plus the search nodes visited; CapacityError beyond it.
+    """
     if r1.dim != r2.dim:
         raise DimensionMismatchError("rings must have equal dimension")
     n = r1.dim
-    total = p ** (n * n)
-    if total > budget:
-        raise CapacityError("search space %d exceeds budget %d" % (total, budget))
     dom = GF(p)
     ring1 = BasedRing(dom, n, r1.structure, r1.labels)
     ring2 = BasedRing(dom, n, r2.structure, r2.labels)
-    for flat in itertools.product(range(p), repeat=n * n):
-        matrix = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-        if invertible_only and field_rank(matrix, dom) < n:
-            continue
-        if is_ring_homomorphism(ring1, ring2, matrix) and field_rank(matrix, dom) == n:
-            return matrix
-    return None
+    # (a, b, e_a * e_b, the columns the pair involves)
+    pairs = []
+    for a in range(n):
+        for b in range(n):
+            prod = {k: c % p for k, c in ring1.structure[a][b].items() if c % p}
+            pairs.append((a, b, prod, {a, b, *prod}))
+    squares = [pairs[i * n + i][2] for i in range(n)]
+    if any(set(sq) - {i} for i, sq in enumerate(squares)):
+        raise PreconditionError("every e_i * e_i must be a multiple of e_i")
+    spent = 0
+
+    def charge(work):
+        nonlocal spent
+        spent += work
+        if spent > budget:
+            raise CapacityError("ring isomorphism search exceeds budget %d" % budget)
+
+    keys = [(sq.get(i, 0), _multiplication_invariants(ring1, ring1.basis_vector(i), p))
+            for i, sq in enumerate(squares)]
+    pools = {key: [] for key in keys}
+    charge(p**n - 1)
+    for v in itertools.islice(itertools.product(range(p), repeat=n), 1, None):
+        square = multiply(ring2, v, v)
+        c = next((c for c, _ in pools if square == [c * x % p for x in v]), None)
+        key = (c, _multiplication_invariants(ring2, v, p)) if c is not None else None
+        if key in pools:
+            pools[key].append(v)
+
+    cols = [None] * n
+
+    def narrowed(k, d, j):
+        """The candidates in d for column k that solve the linear equations
+        on phi(e_k) from the pairs whose last unplaced column besides k
+        was j."""
+        eqs = []
+        for a, b, prod, used in pairs:
+            if j not in used or k not in used or any(cols[x] is None for x in used if x != k):
+                continue
+            if a == k:
+                m, lhs = _multiplication_matrix(ring2, cols[b], "right", p), [0] * n
+            elif b == k:
+                m, lhs = _multiplication_matrix(ring2, cols[a], "left", p), [0] * n
+            else:
+                m, lhs = [[0] * n for _ in range(n)], multiply(ring2, cols[a], cols[b])
+            for r in range(n):
+                row = [(m[r][s] - prod.get(k, 0) * (r == s)) % p for s in range(n)]
+                value = (sum(c * cols[x][r] for x, c in prod.items() if x != k) - lhs[r]) % p
+                if any(row) or value:
+                    eqs.append((row, value))
+        if not eqs:
+            return d
+        charge(len(d))
+        return [w for w in d if all(sum(x * y for x, y in zip(row, w)) % p == value for row, value in eqs)]
+
+    def search(domains):
+        if not domains:
+            return [[cols[j][r] for j in range(n)] for r in range(n)]
+        j = min(domains, key=lambda k: (len(domains[k]), k))
+        placed = [c for c in cols if c is not None]
+        for v in domains[j]:
+            charge(1)
+            if field_rank(placed + [v], dom) <= len(placed):
+                continue
+            cols[j] = v
+            rest = {}
+            for k, d in domains.items():
+                if k != j:
+                    rest[k] = narrowed(k, d, j)
+                    if not rest[k]:
+                        break
+            else:
+                found = search(rest)
+                if found is not None:
+                    return found
+            cols[j] = None
+        return None
+
+    matrix = search({i: pools[key] for i, key in enumerate(keys)})
+    if matrix is not None and not is_ring_isomorphism(ring1, ring2, matrix):
+        raise RuntimeError("ring isomorphism search returned a map that is not one")
+    return matrix

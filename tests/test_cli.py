@@ -2,9 +2,13 @@ import json
 
 import pytest
 
+from quandlekit import cli
 from quandlekit.cli import EXPECTED, main, parse_domain
-from quandlekit.domains import QQ, ZZ
+from quandlekit.counterexamples import PAIR4_X, PAIR4_Y
+from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.errors import QuandleKitError
+from quandlekit.quandles import to_json_dict
+from quandlekit.rings import is_ring_isomorphism, quandle_ring
 
 
 def run(capsys, *argv):
@@ -58,6 +62,26 @@ def test_exit_code_bad_params(capsys):
     assert "bad parameters" in err
     code, _, _ = run(capsys, "make", "alexander", "5", "5")
     assert code == 2
+
+
+def test_non_integer_parameters_are_bad_parameters(tmp_path, capsys):
+    code, _, err = run(capsys, "make", "dihedral", "five")
+    assert code == 2
+    assert "'five'" in err
+    path = tmp_path / "t2.json"
+    run(capsys, "make", "trivial", "2", "-o", str(path))
+    code, _, err = run(capsys, "power-assoc", str(path), "--box", "1,x")
+    assert code == 2
+    assert "'x'" in err
+
+
+def test_internal_value_error_is_not_bad_parameters(capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "delta_series_shapes", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["delta", "--dihedral", "5"])
 
 
 def test_exit_code_parse_error(tmp_path, capsys):
@@ -159,6 +183,17 @@ def test_enumerate_catalog_dedup(tmp_path, capsys, monkeypatch):
     assert len(other.read_text().splitlines()) == 1
 
 
+def test_enumerate_catalog_flags_sum_to_counts(tmp_path, capsys):
+    catalog = tmp_path / "catalog.jsonl"
+    code, stdout, _ = run(capsys, "enumerate", "4", "--catalog", str(catalog), "--json")
+    assert code == 0
+    outputs = json.loads(stdout)["outputs"]
+    entries = [json.loads(l) for l in catalog.read_text().splitlines()]
+    assert len(entries) == outputs["classes"] == 7
+    assert sum(e["right2t"] for e in entries) == outputs["right2t"] == 6
+    assert sum(e["left2t"] for e in entries) == outputs["left2t"] == 3
+
+
 def test_enumerate_catalog_line_not_json(tmp_path, capsys):
     catalog = tmp_path / "catalog.jsonl"
     catalog.write_text('{"n": 1, "table": [[0]]}\n{not json\n')
@@ -232,6 +267,35 @@ def test_iso_brute_force_needs_prime_field(tmp_path, capsys):
     code, stdout, _ = run(capsys, "iso", str(a), str(a), "--ring-domain", "F2", "--json")
     assert code == 0
     assert json.loads(stdout)["outputs"]["ring_iso"] is not None
+
+
+def test_iso_finds_certified_ring_map_for_paper_pair(tmp_path, capsys):
+    x = write_json(tmp_path / "x.json", to_json_dict(PAIR4_X))
+    y = write_json(tmp_path / "y.json", to_json_dict(PAIR4_Y))
+    code, stdout, _ = run(capsys, "iso", x, y, "--ring-domain", "F3", "--json")
+    assert code == 0
+    outputs = json.loads(stdout)["outputs"]
+    assert outputs["quandle_iso"] is None
+    ring_x, ring_y = quandle_ring(PAIR4_X, GF(3)), quandle_ring(PAIR4_Y, GF(3))
+    assert is_ring_isomorphism(ring_x, ring_y, outputs["ring_iso"])
+
+
+def test_iso_budget_exceeded_is_capacity(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    run(capsys, "make", "trivial", "3", "-o", str(a))
+    code, _, err = run(capsys, "iso", str(a), str(a), "--ring-domain", "F3", "--budget", "10")
+    assert code == 5
+    assert "capacity" in err
+
+
+@pytest.mark.parametrize("matrix", [7, [[1, 0], "ab"], [[1, "x"], [0, 1]], [[1, None], [0, 1]]])
+def test_iso_malformed_matrix_is_named_parse_error(tmp_path, capsys, matrix):
+    a = tmp_path / "a.json"
+    run(capsys, "make", "trivial", "2", "-o", str(a))
+    m = write_json(tmp_path / "m.json", matrix)
+    code, _, err = run(capsys, "iso", str(a), str(a), "--ring-domain", "F3", "--matrix", m)
+    assert code == 3
+    assert m in err
 
 
 def test_decompose_file_mode(tmp_path, capsys):

@@ -246,12 +246,12 @@ def test_permutation_rank_basics():
 
 def test_krull_schmidt_consequence_small():
     # orbit-2-transitive quandles of order <= 3 with different partition
-    # types never have brute-force ring isomorphisms over F_2
+    # types never have ring isomorphisms over F_2
     import itertools
 
     from quandlekit.quandles import partition_type
     from quandlekit.rings import quandle_ring as qring
-    from quandlekit.rings import ring_iso_brute_force
+    from quandlekit.rings import find_ring_isomorphism
 
     eligible = []
     for n in (2, 3):
@@ -261,7 +261,7 @@ def test_krull_schmidt_consequence_small():
     for a, b in itertools.combinations(eligible, 2):
         if a.n != b.n or partition_type(a) == partition_type(b):
             continue
-        assert ring_iso_brute_force(qring(a, GF(2)), qring(b, GF(2)), 2) is None
+        assert find_ring_isomorphism(qring(a, GF(2)), qring(b, GF(2)), 2) is None
 
 
 def test_submodule_sum_monotone():

@@ -1,0 +1,126 @@
+"""Differential tests of the ring isomorphism search against the
+exhaustive matrix search it replaced, and its certificates on the paper's
+pair and on relabeled quandles.
+
+``oracle_ring_iso`` tries all p^(n^2) matrices over F_p in row-major
+lexicographic order, so it stays here only as a reference for
+dimension <= 3.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quandlekit.counterexamples import PAIR4_X, PAIR4_Y, PAIR7_X, PAIR7_Y
+from quandlekit.domains import GF
+from quandlekit.errors import PreconditionError
+from quandlekit.linalg import field_rank
+from quandlekit.quandles import Quandle, trivial_quandle
+from quandlekit.rings import (
+    BasedRing,
+    direct_sum,
+    find_ring_isomorphism,
+    is_ring_isomorphism,
+    quandle_ring,
+)
+from quandlekit.symmetry import enumerate_quandles
+
+
+def oracle_ring_iso(r1, r2, p):
+    """First ring isomorphism r1 -> r2 over F_p among all p^(n^2) matrices
+    in row-major lexicographic order, else None."""
+    n = r1.dim
+
+    def product(u, v):
+        out = [0] * n
+        for i in range(n):
+            for j in range(n):
+                for k, c in r2.structure[i][j].items():
+                    out[k] += u[i] * v[j] * c
+        return [x % p for x in out]
+
+    for flat in itertools.product(range(p), repeat=n * n):
+        cols = [flat[j::n] for j in range(n)]
+        if all(
+            product(cols[a], cols[b])
+            == [sum(c * cols[k][r] for k, c in r1.structure[a][b].items()) % p for r in range(n)]
+            for a in range(n)
+            for b in range(n)
+        ):
+            matrix = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+            if field_rank(matrix, GF(p)) == n:
+                return matrix
+    return None
+
+
+def small_rings(p):
+    """Quandle rings of order <= 3 and the direct sum of criterion 09."""
+    rings = [quandle_ring(q, GF(p)) for n in (1, 2, 3) for q in enumerate_quandles(n)]
+    point = quandle_ring(trivial_quandle(1), GF(p))
+    rings.append(direct_sum(direct_sum(point, point), point))
+    return rings
+
+
+def relabel(q, sigma):
+    table = [[0] * q.n for _ in range(q.n)]
+    for i in range(q.n):
+        for j in range(q.n):
+            table[sigma[i]][sigma[j]] = sigma[q.op(i, j)]
+    return Quandle.from_table(table)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_search_agrees_with_oracle(p):
+    rings = small_rings(p)
+    pairs = [(r1, r2) for r1 in rings for r2 in rings if r1.dim == r2.dim]
+    isomorphic = 0
+    for r1, r2 in pairs:
+        found = find_ring_isomorphism(r1, r2, p)
+        oracle = oracle_ring_iso(r1, r2, p)
+        assert (found is None) == (oracle is None)
+        if found is not None:
+            assert is_ring_isomorphism(r1, r2, found)
+            isomorphic += 1
+        if oracle is not None:
+            assert is_ring_isomorphism(r1, r2, oracle)
+    assert 0 < isomorphic < len(pairs)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_paper_pair_rings_isomorphic_in_odd_characteristic(p):
+    r1, r2 = quandle_ring(PAIR4_X, GF(p)), quandle_ring(PAIR4_Y, GF(p))
+    found = find_ring_isomorphism(r1, r2, p)
+    assert found is not None and is_ring_isomorphism(r1, r2, found)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_order7_pair_rings_isomorphic(p):
+    r1, r2 = quandle_ring(PAIR7_X, GF(p)), quandle_ring(PAIR7_Y, GF(p))
+    found = find_ring_isomorphism(r1, r2, p)
+    assert found is not None and is_ring_isomorphism(r1, r2, found)
+
+
+def test_paper_pair_rings_not_isomorphic_over_f2():
+    r1, r2 = quandle_ring(PAIR4_X, GF(2)), quandle_ring(PAIR4_Y, GF(2))
+    assert find_ring_isomorphism(r1, r2, 2) is None
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_search_recovers_relabelings(data):
+    for n in (1, 2, 3, 4):
+        for q in enumerate_quandles(n):
+            moved = relabel(q, data.draw(st.permutations(range(n))))
+            for p in (2, 3):
+                r1, r2 = quandle_ring(q, GF(p)), quandle_ring(moved, GF(p))
+                found = find_ring_isomorphism(r1, r2, p)
+                assert found is not None and is_ring_isomorphism(r1, r2, found)
+
+
+def test_search_needs_squares_on_the_diagonal():
+    dom = GF(2)
+    ring = BasedRing(dom, 2, (({1: 1}, {}), ({}, {1: 1})), ("a", "b"))
+    with pytest.raises(PreconditionError):
+        find_ring_isomorphism(ring, ring, 2)

@@ -21,13 +21,13 @@ from quandlekit.rings import (
     albert_check,
     augmentation,
     direct_sum,
+    find_ring_isomorphism,
     is_ring_homomorphism,
     is_ring_isomorphism,
     multiply,
     power_assoc_witness,
     quandle_ring,
     right_annihilator_count,
-    ring_iso_brute_force,
     scalar_mul,
 )
 from quandlekit.symmetry import quandles_isomorphic
@@ -170,7 +170,7 @@ def test_direct_sum_blocks():
 
 def test_brute_force_finds_identity_for_equal_rings():
     ring = quandle_ring(trivial_quandle(2), GF(2))
-    m = ring_iso_brute_force(ring, ring, 2)
+    m = find_ring_isomorphism(ring, ring, 2)
     assert m is not None
     assert is_ring_isomorphism(ring, ring, m)
 
@@ -180,13 +180,13 @@ def test_brute_force_separates_sum_of_points_from_trivial3():
         pt = quandle_ring(trivial_quandle(1), GF(p))
         s = direct_sum(direct_sum(pt, pt), pt)
         t3 = quandle_ring(trivial_quandle(3), GF(p))
-        assert ring_iso_brute_force(s, t3, p) is None
+        assert find_ring_isomorphism(s, t3, p) is None
 
 
 def test_brute_force_budget():
     ring = quandle_ring(trivial_quandle(4), GF(5))
     with pytest.raises(CapacityError):
-        ring_iso_brute_force(ring, ring, 5, budget=10)
+        find_ring_isomorphism(ring, ring, 5, budget=10)
 
 
 @settings(max_examples=20)
