@@ -11,7 +11,7 @@ rings.
 
 __version__ = "0.1.0"
 
-from .domains import CC, GF, QQ, ZZ
+from .domains import GF, QQ, ZZ
 from .errors import QuandleKitError
 from .quandles import (
     Quandle,
@@ -35,7 +35,6 @@ from .symmetry import (
 )
 
 __all__ = [
-    "CC",
     "GF",
     "QQ",
     "ZZ",

@@ -476,12 +476,10 @@ def cmd_iso(args):
             ok = is_ring_isomorphism(rx, ry, _read_matrix(args.matrix, domain))
             payload["ring_iso_matrix_valid"] = ok
             lines.append("given matrix is a ring isomorphism: %s" % ok)
-        elif domain.char:
-            found = find_ring_isomorphism(rx, ry, domain.char, budget=args.budget)
+        else:
+            found = find_ring_isomorphism(rx, ry, budget=args.budget)
             payload["ring_iso"] = found
             lines.append("ring isomorphism search: %s" % ("found" if found else "none"))
-        else:
-            raise QuandleKitError("the ring isomorphism search needs a prime field; pass --matrix otherwise")
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -8,9 +8,10 @@ from .quandles import Quandle, disjoint_union, trivial_quandle
 from .rings import is_ring_isomorphism, quandle_ring
 
 # 4-element pair.  Gated by the tests: PAIR4_MATRIX is a ring isomorphism
-# over F_3 (acceptance criterion 06), and find_ring_isomorphism returns a
-# certified isomorphism over F_3, F_5 and F_7 and none over F_2
-# (tests/test_ring_iso.py).  Whether the rings are isomorphic over Z is open.
+# over F_3 (acceptance criterion 06), PAIR4_Q_MATRIX one over Q, and
+# find_ring_isomorphism returns a certified isomorphism over F_3, F_5 and
+# F_7 and none over F_2 (tests/test_ring_iso.py).  So the rings are not
+# isomorphic over Z: a Z-isomorphism would reduce mod 2 to one over F_2.
 PAIR4_X = Quandle.from_table([
     [0, 0, 1, 1],
     [1, 1, 0, 0],
@@ -28,6 +29,13 @@ PAIR4_MATRIX = [
     [0, 1, 0, 1],
     [0, 0, 1, 1],
     [0, 0, 0, 1],
+]
+# Determinant 2: invertible over Q, not over Z.
+PAIR4_Q_MATRIX = [
+    [0, 1, 0, 1],
+    [1, 0, 0, 1],
+    [0, 0, 1, 1],
+    [0, 0, 0, -2],
 ]
 
 # 7-element pair: rings isomorphic over characteristic 0.

@@ -1,9 +1,8 @@
-"""Exact (and one approximate) coefficient domains for ring arithmetic.
+"""Exact coefficient domains for ring arithmetic.
 
-Four kinds are supported: unbounded integers, exact rationals, prime
-fields, and complex floating point.  The complex domain is quarantined:
-it is only used by the numeric dihedral decomposition checker and never
-feeds normal-form or search code.
+Three kinds are supported: unbounded integers (Z), exact rationals (Q)
+and prime fields (F_p).  Elements are plain Python numbers: int,
+Fraction, and int in [0, p).
 """
 
 from fractions import Fraction
@@ -29,7 +28,6 @@ class Domain:
 
     kind = None
     char = 0
-    exact = True
 
     def coerce(self, v):
         raise NotImplementedError
@@ -49,9 +47,6 @@ class Domain:
     def is_zero(self, a):
         return a == self.zero
 
-    def eq(self, a, b):
-        return a == b
-
     def is_unit(self, a):
         raise NotImplementedError
 
@@ -63,9 +58,6 @@ class Domain:
 
     def from_json(self, v):
         return self.coerce(v)
-
-    def tag(self):
-        return {"domain": self.kind}
 
     def __repr__(self):
         return self.kind
@@ -150,51 +142,12 @@ class PrimeField(Domain):
             raise QuandleKitError("division by zero in F_%d" % self.p)
         return pow(a, self.p - 2, self.p)
 
-    def tag(self):
-        return {"domain": "Zp", "p": self.p}
-
     def __repr__(self):
         return "F_%d" % self.p
 
 
-class ComplexDomain(Domain):
-    """Floating-point complex numbers; approximate, for numeric checks only."""
-
-    kind = "C"
-    exact = False
-    zero = 0j
-    one = 1 + 0j
-
-    def __init__(self, tol=1e-12):
-        self.tol = tol
-
-    def coerce(self, v):
-        return complex(v)
-
-    def is_zero(self, a):
-        return abs(a) <= self.tol
-
-    def eq(self, a, b):
-        return abs(a - b) <= self.tol
-
-    def is_unit(self, a):
-        return abs(a) > self.tol
-
-    def inv(self, a):
-        return 1 / a
-
-    def to_json(self, a):
-        return [a.real, a.imag]
-
-    def from_json(self, v):
-        if isinstance(v, (list, tuple)):
-            return complex(v[0], v[1])
-        return complex(v)
-
-
 ZZ = IntegerDomain()
 QQ = RationalDomain()
-CC = ComplexDomain()
 
 _gf_cache = {}
 
@@ -204,17 +157,3 @@ def GF(p):
     if p not in _gf_cache:
         _gf_cache[p] = PrimeField(p)
     return _gf_cache[p]
-
-
-def domain_from_tag(tag):
-    """Inverse of Domain.tag() for deserialization."""
-    kind = tag.get("domain")
-    if kind == "Z":
-        return ZZ
-    if kind == "Q":
-        return QQ
-    if kind == "Zp":
-        return GF(int(tag["p"]))
-    if kind == "C":
-        return CC
-    raise QuandleKitError("unknown domain tag %r" % (tag,))

@@ -90,7 +90,7 @@ def submodule_product(ring, a, b):
     """Reduced span of all pairwise products of basis vectors."""
     if a.ambient_dim != ring.dim or b.ambient_dim != ring.dim:
         raise DomainMismatchError("submodules do not live in the given ring")
-    rows = [multiply(ring, list(u), list(v)) for u in a.basis for v in b.basis]
+    rows = [multiply(ring, u, v) for u in a.basis for v in b.basis]
     return _reduce(ring.dim, ring.domain, rows)
 
 
@@ -172,38 +172,28 @@ def quotient_shape(a, b):
     return AbelianGroupShape(free_rank=free_rank, torsion=torsion)
 
 
-def _basis_index_vector(domain, n, i):
-    v = [domain.zero] * n
-    v[i] = domain.one
-    return v
+def _generated_ideal(ring, generators, side):
+    """Smallest submodule containing the generators and closed under
+    multiplication by every basis element on the given side ("right" or
+    "left"); fixpoint iteration."""
+    current = _reduce(ring.dim, ring.domain, [list(g) for g in generators])
+    while True:
+        rows = list(current.basis)
+        for v in current.basis:
+            for e in map(ring.basis_vector, range(ring.dim)):
+                rows.append(multiply(ring, v, e) if side == "right" else multiply(ring, e, v))
+        nxt = _reduce(ring.dim, ring.domain, rows)
+        if nxt.basis == current.basis:
+            return current
+        current = nxt
 
 
 def generated_right_ideal(ring, generators):
-    """Smallest submodule containing the generators and closed under
-    right multiplication by every basis element; fixpoint iteration."""
-    current = _reduce(ring.dim, ring.domain, [list(g) for g in generators])
-    while True:
-        rows = list(current.basis)
-        for v in current.basis:
-            for j in range(ring.dim):
-                rows.append(multiply(ring, list(v), _basis_index_vector(ring.domain, ring.dim, j)))
-        nxt = _reduce(ring.dim, ring.domain, rows)
-        if nxt.basis == current.basis:
-            return current
-        current = nxt
+    return _generated_ideal(ring, generators, "right")
 
 
 def generated_left_ideal(ring, generators):
-    current = _reduce(ring.dim, ring.domain, [list(g) for g in generators])
-    while True:
-        rows = list(current.basis)
-        for v in current.basis:
-            for j in range(ring.dim):
-                rows.append(multiply(ring, _basis_index_vector(ring.domain, ring.dim, j), list(v)))
-        nxt = _reduce(ring.dim, ring.domain, rows)
-        if nxt.basis == current.basis:
-            return current
-        current = nxt
+    return _generated_ideal(ring, generators, "left")
 
 
 def orbit_summands(x, domain):
@@ -271,7 +261,7 @@ class DecompositionReport:
 def _is_right_invariant(ring, sub):
     for v in sub.basis:
         for j in range(ring.dim):
-            w = multiply(ring, list(v), _basis_index_vector(ring.domain, ring.dim, j))
+            w = multiply(ring, v, ring.basis_vector(j))
             if not sub.contains(w):
                 return False
     return True

@@ -1,8 +1,9 @@
-"""Quandle-ring arithmetic over pluggable exact coefficient domains.
+"""Quandle-ring arithmetic over Z, Q and F_p.
 
-A BasedRing stores structure constants for a ring with a distinguished
-basis; for a quandle ring every basis product is again a basis element,
-so structure entries are sparse coefficient maps.
+A BasedRing has a basis e_0 .. e_(n-1) in which every product of two
+basis elements is a basis element or 0, so the ring is an n x n integer
+table, for a quandle ring the quandle's own table: e_i * e_j = e_(i > j).
+Coefficients are plain Python numbers (int, Fraction, or int mod p).
 """
 
 import itertools
@@ -14,7 +15,6 @@ from .errors import (
     DimensionMismatchError,
     DomainMismatchError,
     PreconditionError,
-    QuandleKitError,
 )
 from .linalg import field_rank
 
@@ -24,10 +24,18 @@ DEFAULT_ISO_BUDGET = 10**7
 
 @dataclass(frozen=True)
 class BasedRing:
+    """table[i][j] = k means e_i * e_j = e_k; k = -1 means e_i * e_j = 0.
+
+    Code that scatters into a list of length dim + 1 lets the spare last
+    slot, index -1, absorb the zero products.
+    """
+
     domain: object
-    dim: int
-    structure: tuple  # structure[i][j]: dict {k: coeff} for e_i * e_j
-    labels: tuple
+    table: tuple
+
+    @property
+    def dim(self):
+        return len(self.table)
 
     def basis_vector(self, i):
         v = [self.domain.zero] * self.dim
@@ -37,11 +45,7 @@ class BasedRing:
 
 def quandle_ring(x, domain):
     """k[X]: e_i * e_j = e_{i > j}."""
-    structure = tuple(
-        tuple({x.table[i][j]: domain.one} for j in range(x.n)) for i in range(x.n)
-    )
-    labels = tuple("a%d" % i for i in range(x.n))
-    return BasedRing(domain=domain, dim=x.n, structure=structure, labels=labels)
+    return BasedRing(domain, x.table)
 
 
 def direct_sum(r1, r2):
@@ -49,42 +53,27 @@ def direct_sum(r1, r2):
     if r1.domain is not r2.domain:
         raise DomainMismatchError("direct sum needs a common domain")
     d1, d2 = r1.dim, r2.dim
-    dim = d1 + d2
-    structure = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if i < d1 and j < d1:
-                row.append(dict(r1.structure[i][j]))
-            elif i >= d1 and j >= d1:
-                row.append({k + d1: c for k, c in r2.structure[i - d1][j - d1].items()})
-            else:
-                row.append({})
-        structure.append(tuple(row))
-    return BasedRing(
-        domain=r1.domain,
-        dim=dim,
-        structure=tuple(structure),
-        labels=r1.labels + tuple(lbl + "'" for lbl in r2.labels),
+    table = tuple(row + (-1,) * d2 for row in r1.table) + tuple(
+        (-1,) * d1 + tuple(k + d1 if k >= 0 else -1 for k in row) for row in r2.table
     )
+    return BasedRing(r1.domain, table)
 
 
 def multiply(ring, u, v):
-    """Bilinear product of coefficient vectors."""
-    if len(u) != ring.dim or len(v) != ring.dim:
+    """Bilinear product of coefficient vectors: u_i * v_j is added to
+    coordinate table[i][j], and over F_p the sums are reduced at the end."""
+    n = ring.dim
+    if len(u) != n or len(v) != n:
         raise DimensionMismatchError("element length does not match ring dimension")
-    dom = ring.domain
-    acc = [dom.zero] * ring.dim
-    for i, ui in enumerate(u):
-        if dom.is_zero(ui):
-            continue
-        for j, vj in enumerate(v):
-            if dom.is_zero(vj):
-                continue
-            c = dom.mul(ui, vj)
-            for k, s in ring.structure[i][j].items():
-                acc[k] = dom.add(acc[k], dom.mul(c, s))
-    return acc
+    acc = [ring.domain.zero] * (n + 1)
+    nonzero_v = [(j, vj) for j, vj in enumerate(v) if vj]
+    for row, ui in zip(ring.table, u):
+        if ui:
+            for j, vj in nonzero_v:
+                acc[row[j]] += ui * vj
+    acc.pop()
+    p = ring.domain.char
+    return [a % p for a in acc] if p else acc
 
 
 def scalar_mul(ring, c, u):
@@ -108,22 +97,17 @@ def augmentation(ring, u):
     return total
 
 
-def _vec_eq(dom, u, v):
-    return all(dom.eq(a, b) for a, b in zip(u, v))
-
-
 def albert_check(ring, u):
     """The two power-associativity identities for a single element.
 
     Returns (first, second): first is (u*u)*u == u*(u*u), second is
     (u*u)*(u*u) == ((u*u)*u)*u.
     """
-    dom = ring.domain
     uu = multiply(ring, u, u)
     uu_u = multiply(ring, uu, u)
     u_uu = multiply(ring, u, uu)
-    first = _vec_eq(dom, uu_u, u_uu)
-    second = _vec_eq(dom, multiply(ring, uu, uu), multiply(ring, uu_u, u))
+    first = uu_u == u_uu
+    second = multiply(ring, uu, uu) == multiply(ring, uu_u, u)
     return first, second
 
 
@@ -157,11 +141,11 @@ def power_assoc_witness(x, domain, box=DEFAULT_WITNESS_BOX):
                     uu = multiply(ring, u, u)
                     uu_u = multiply(ring, uu, u)
                     u_uu = multiply(ring, u, uu)
-                    if not _vec_eq(dom, uu_u, u_uu):
+                    if uu_u != u_uu:
                         return PowerAssocWitness(tuple(u), "cube", tuple(uu_u), tuple(u_uu))
                     lhs = multiply(ring, uu, uu)
                     rhs = multiply(ring, uu_u, u)
-                    if not _vec_eq(dom, lhs, rhs):
+                    if lhs != rhs:
                         return PowerAssocWitness(tuple(u), "fourth", tuple(lhs), tuple(rhs))
     return None
 
@@ -183,36 +167,18 @@ def right_annihilator_count(x, p):
     return p ** (n - rank)
 
 
-def _matrix_column(m, j, dom):
-    return [dom.coerce(m[i][j]) for i in range(len(m))]
-
-
-def _apply_matrix(m, v, dom):
-    n = len(m)
-    out = [dom.zero] * n
-    for j, c in enumerate(v):
-        if dom.is_zero(c):
-            continue
-        for i in range(n):
-            out[i] = dom.add(out[i], dom.mul(dom.coerce(m[i][j]), c))
-    return out
-
-
 def is_ring_homomorphism(r1, r2, matrix):
     """Multiplicativity of the linear map phi(e_j) = column j of the matrix,
-    checked on all basis pairs."""
-    if r1.dim != r2.dim or len(matrix) != r1.dim or any(len(row) != r1.dim for row in matrix):
+    checked on all basis pairs: phi(e_i) * phi(e_j) = phi(e_i * e_j)."""
+    n = r1.dim
+    if r2.dim != n or len(matrix) != n or any(len(row) != n for row in matrix):
         raise DimensionMismatchError("matrix shape must match ring dimension")
     dom = r2.domain
-    cols = [_matrix_column(matrix, j, dom) for j in range(r1.dim)]
-    for i in range(r1.dim):
-        for j in range(r1.dim):
-            prod = [dom.zero] * r1.dim
-            for k, c in r1.structure[i][j].items():
-                prod[k] = dom.add(prod[k], dom.coerce(c))
-            lhs = _apply_matrix(matrix, prod, dom)
-            rhs = multiply(r2, cols[i], cols[j])
-            if not _vec_eq(dom, lhs, rhs):
+    cols = [[dom.coerce(row[j]) for row in matrix] for j in range(n)]
+    cols.append([dom.zero] * n)  # phi(0), at index -1
+    for i, row in enumerate(r1.table):
+        for j, k in enumerate(row):
+            if multiply(r2, cols[i], cols[j]) != cols[k]:
                 return False
     return True
 
@@ -232,12 +198,15 @@ def is_ring_isomorphism(r1, r2, matrix):
 def _multiplication_matrix(ring, u, side, p):
     """The matrix over F_p of w -> u * w (side "left") or w -> w * u."""
     n = ring.dim
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            # column j: u_i * e_i * e_j on the left, u_i * e_j * e_i on the right
-            for k, s in (ring.structure[i][j] if side == "left" else ring.structure[j][i]).items():
-                m[k][j] += u[i] * s
+    m = [[0] * n for _ in range(n + 1)]
+    for i, row in enumerate(ring.table):
+        for j, k in enumerate(row):
+            # e_i * e_j = e_k: u_i adds to column j on the left, u_j to column i on the right
+            if side == "left":
+                m[k][j] += u[i]
+            else:
+                m[k][i] += u[j]
+    m.pop()
     return [[x % p for x in row] for row in m]
 
 
@@ -255,9 +224,9 @@ def _multiplication_invariants(ring, u, p):
     return out
 
 
-def find_ring_isomorphism(r1, r2, p, budget=DEFAULT_ISO_BUDGET):
-    """A ring isomorphism r1 -> r2 over F_p, as the matrix whose column j
-    is phi(e_j), or None when there is none.
+def find_ring_isomorphism(r1, r2, budget=DEFAULT_ISO_BUDGET):
+    """A ring isomorphism r1 -> r2 over their common prime field F_p, as
+    the matrix whose column j is phi(e_j), or None when there is none.
 
     Needs e_i * e_i = c_i * e_i in r1 for every i, as in a quandle ring and
     in direct sums of quandle rings.  Backtracking over the images of the
@@ -278,18 +247,16 @@ def find_ring_isomorphism(r1, r2, p, budget=DEFAULT_ISO_BUDGET):
     """
     if r1.dim != r2.dim:
         raise DimensionMismatchError("rings must have equal dimension")
+    if r1.domain is not r2.domain:
+        raise DomainMismatchError("rings must share a domain")
+    dom = r1.domain
+    p = dom.char
+    if not p:
+        raise PreconditionError("the ring isomorphism search needs a prime field, not %r" % dom)
     n = r1.dim
-    dom = GF(p)
-    ring1 = BasedRing(dom, n, r1.structure, r1.labels)
-    ring2 = BasedRing(dom, n, r2.structure, r2.labels)
-    # (a, b, e_a * e_b, the columns the pair involves)
-    pairs = []
-    for a in range(n):
-        for b in range(n):
-            prod = {k: c % p for k, c in ring1.structure[a][b].items() if c % p}
-            pairs.append((a, b, prod, {a, b, *prod}))
-    squares = [pairs[i * n + i][2] for i in range(n)]
-    if any(set(sq) - {i} for i, sq in enumerate(squares)):
+    # (a, b, c, the columns the pair involves) for e_a * e_b = e_c, c = -1 for 0
+    pairs = [(a, b, c, {a, b, c} - {-1}) for a, row in enumerate(r1.table) for b, c in enumerate(row)]
+    if any(r1.table[i][i] not in (i, -1) for i in range(n)):
         raise PreconditionError("every e_i * e_i must be a multiple of e_i")
     spent = 0
 
@@ -299,36 +266,38 @@ def find_ring_isomorphism(r1, r2, p, budget=DEFAULT_ISO_BUDGET):
         if spent > budget:
             raise CapacityError("ring isomorphism search exceeds budget %d" % budget)
 
-    keys = [(sq.get(i, 0), _multiplication_invariants(ring1, ring1.basis_vector(i), p))
-            for i, sq in enumerate(squares)]
+    keys = [(int(r1.table[i][i] == i), _multiplication_invariants(r1, r1.basis_vector(i), p))
+            for i in range(n)]
     pools = {key: [] for key in keys}
     charge(p**n - 1)
     for v in itertools.islice(itertools.product(range(p), repeat=n), 1, None):
-        square = multiply(ring2, v, v)
+        square = multiply(r2, v, v)
         c = next((c for c, _ in pools if square == [c * x % p for x in v]), None)
-        key = (c, _multiplication_invariants(ring2, v, p)) if c is not None else None
+        key = (c, _multiplication_invariants(r2, v, p)) if c is not None else None
         if key in pools:
             pools[key].append(v)
 
     cols = [None] * n
+    zero = [0] * n
 
     def narrowed(k, d, j):
         """The candidates in d for column k that solve the linear equations
         on phi(e_k) from the pairs whose last unplaced column besides k
         was j."""
         eqs = []
-        for a, b, prod, used in pairs:
+        for a, b, c, used in pairs:
             if j not in used or k not in used or any(cols[x] is None for x in used if x != k):
                 continue
             if a == k:
-                m, lhs = _multiplication_matrix(ring2, cols[b], "right", p), [0] * n
+                m, lhs = _multiplication_matrix(r2, cols[b], "right", p), zero
             elif b == k:
-                m, lhs = _multiplication_matrix(ring2, cols[a], "left", p), [0] * n
+                m, lhs = _multiplication_matrix(r2, cols[a], "left", p), zero
             else:
-                m, lhs = [[0] * n for _ in range(n)], multiply(ring2, cols[a], cols[b])
+                m, lhs = [zero] * n, multiply(r2, cols[a], cols[b])
+            rhs = zero if c in (-1, k) else cols[c]
             for r in range(n):
-                row = [(m[r][s] - prod.get(k, 0) * (r == s)) % p for s in range(n)]
-                value = (sum(c * cols[x][r] for x, c in prod.items() if x != k) - lhs[r]) % p
+                row = [(m[r][s] - (c == k) * (r == s)) % p for s in range(n)]
+                value = (rhs[r] - lhs[r]) % p
                 if any(row) or value:
                     eqs.append((row, value))
         if not eqs:
@@ -360,6 +329,6 @@ def find_ring_isomorphism(r1, r2, p, budget=DEFAULT_ISO_BUDGET):
         return None
 
     matrix = search({i: pools[key] for i, key in enumerate(keys)})
-    if matrix is not None and not is_ring_isomorphism(ring1, ring2, matrix):
+    if matrix is not None and not is_ring_isomorphism(r1, r2, matrix):
         raise RuntimeError("ring isomorphism search returned a map that is not one")
     return matrix

@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapacityError, NotInvariantError, QuandleKitError
+from .errors import CapacityError, NotInvariantError, PreconditionError, QuandleKitError
 from .quandles import (
     Quandle,
     left_translation,
@@ -448,15 +448,18 @@ def _cycle_type_reps(n):
 
 def enumerate_quandles(n, bound=DEFAULT_ENUM_BOUND):
     """All isomorphism classes of quandles of order n, as canonical
-    representatives sorted by table; CapacityError when n exceeds bound.
+    representatives sorted by table; PreconditionError when n or bound is
+    below 1, CapacityError when n exceeds bound.
 
     Calls with different bounds share one cached search per n, described
     at `_enumerate`.
     """
+    if n < 1 or bound < 1:
+        raise PreconditionError(
+            "enumeration needs n >= 1 and bound >= 1 (got n = %d, bound = %d)" % (n, bound)
+        )
     if n > bound:
         raise CapacityError("enumeration bounded at n = %d (requested %d)" % (bound, n))
-    if n < 1:
-        raise CapacityError("enumeration needs n >= 1")
     return _enumerate(n)
 
 

@@ -159,6 +159,13 @@ def test_exit_code_capacity(capsys):
     assert "capacity" in err
 
 
+@pytest.mark.parametrize("argv", [["0"], ["-1"], ["3", "--bound", "0"]])
+def test_enumerate_argument_errors_are_bad_parameters(capsys, argv):
+    code, _, err = run(capsys, "enumerate", *argv)
+    assert code == 2
+    assert "bad parameters" in err
+
+
 def test_enumerate_counts(capsys):
     code, stdout, _ = run(capsys, "enumerate", "4")
     assert code == 0
