@@ -58,6 +58,7 @@ from .quandles import (
 )
 from .rings import (
     DEFAULT_ISO_BUDGET,
+    DEFAULT_WITNESS_BOX,
     find_ring_isomorphism,
     is_ring_isomorphism,
     power_assoc_witness,
@@ -65,6 +66,7 @@ from .rings import (
     right_annihilator_count,
 )
 from .symmetry import (
+    DEFAULT_ENUM_BOUND,
     canonical_form,
     enumerate_quandles,
     inner_group,
@@ -493,6 +495,8 @@ def cmd_decompose(args):
             lines.append("  %s dim %d residual %.2e" % (s.label, s.dim, s.residual))
         _emit(args, payload, lines)
         return EXIT_OK
+    if args.file is None:
+        raise QuandleKitError("decompose needs a table file or --complex-dihedral N")
     q = load_quandle(args.file)
     domain = parse_domain(args.domain)
     report = verify_simple_decomposition(q, domain)
@@ -612,7 +616,7 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="isomorphism classes of a given order")
     p.add_argument("n", type=int)
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("--bound", type=int, default=DEFAULT_ENUM_BOUND)
     p.add_argument("--catalog", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
@@ -620,7 +624,7 @@ def build_parser():
     p = sub.add_parser("power-assoc", help="search for a power-associativity violation")
     p.add_argument("file")
     p.add_argument("--domain", default="Q")
-    p.add_argument("--box", default="-2,-1,1,2")
+    p.add_argument("--box", default=",".join(map(str, DEFAULT_WITNESS_BOX)))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_power_assoc)
 

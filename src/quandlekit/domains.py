@@ -2,7 +2,11 @@
 
 Three kinds are supported: unbounded integers (Z), exact rationals (Q)
 and prime fields (F_p).  Elements are plain Python numbers: int,
-Fraction, and int in [0, p).
+Fraction, and int in [0, p).  Arithmetic on them is plain Python
+arithmetic; a domain only reads values in (``coerce``, ``from_json``),
+writes them out (``to_json``), and brings a row of sums and products
+back to normal form (``reduce``), which over F_p is the one place the
+mod-p rule lives.
 """
 
 from fractions import Fraction
@@ -24,7 +28,7 @@ def _is_prime(p):
 
 
 class Domain:
-    """Common arithmetic interface; elements are plain Python objects."""
+    """Reads, writes and normalises coefficients; elements are plain numbers."""
 
     kind = None
     char = 0
@@ -32,26 +36,9 @@ class Domain:
     def coerce(self, v):
         raise NotImplementedError
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a == self.zero
-
-    def is_unit(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
+    def reduce(self, row):
+        """The list row in normal form; in characteristic 0 it already is."""
+        return row
 
     def to_json(self, a):
         return a
@@ -73,14 +60,6 @@ class IntegerDomain(Domain):
             raise QuandleKitError("expected an integer, got %r" % (v,))
         return v
 
-    def is_unit(self, a):
-        return a in (1, -1)
-
-    def inv(self, a):
-        if not self.is_unit(a):
-            raise QuandleKitError("%r is not a unit in Z" % (a,))
-        return a
-
 
 class RationalDomain(Domain):
     kind = "Q"
@@ -90,21 +69,8 @@ class RationalDomain(Domain):
     def coerce(self, v):
         return Fraction(v)
 
-    def is_unit(self, a):
-        return a != 0
-
-    def inv(self, a):
-        if a == 0:
-            raise QuandleKitError("division by zero in Q")
-        return Fraction(1) / a
-
     def to_json(self, a):
         return "%d/%d" % (a.numerator, a.denominator)
-
-    def from_json(self, v):
-        if isinstance(v, str):
-            return Fraction(v)
-        return Fraction(v)
 
 
 class PrimeField(Domain):
@@ -122,25 +88,9 @@ class PrimeField(Domain):
     def coerce(self, v):
         return int(v) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def is_unit(self, a):
-        return a % self.p != 0
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise QuandleKitError("division by zero in F_%d" % self.p)
-        return pow(a, self.p - 2, self.p)
+    def reduce(self, row):
+        p = self.p
+        return [a % p for a in row]
 
     def __repr__(self):
         return "F_%d" % self.p

@@ -3,8 +3,16 @@
 Submodules are stored with a reduced basis: Hermite normal form over the
 integers, reduced row echelon form over a field.  Reduced bases are
 unique for a given span, so equality of submodules is equality of bases.
+Coefficients are plain numbers, read into the domain by the reduction.
+
+Multiplying by a basis element only moves coordinates: v * e_j sends
+coordinate i to i > j, so for a quandle ring it permutes them by R_j,
+and a right ideal is a subspace closed under these permutations.  Ideals
+are spun up by moving coordinates along the ring's table, without ring
+multiplication.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,7 +24,6 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import (
-    field_in_span,
     hermite_normal_form,
     hnf_coordinates,
     lattice_contains,
@@ -44,17 +51,20 @@ class Submodule:
     def contains(self, v):
         if len(v) != self.ambient_dim:
             raise DomainMismatchError("vector length does not match ambient dimension")
-        if self.domain is ZZ:
+        dom = self.domain
+        if dom is ZZ:
             return lattice_contains(self.basis, v)
-        return field_in_span(list(self.basis), [self.domain.coerce(c) for c in v], self.domain)
+        # clear v at each pivot of the RREF basis (the pivot entries are 1)
+        v = [dom.coerce(c) for c in v]
+        for row in self.basis:
+            f = v[next(c for c, a in enumerate(row) if a)]
+            if f:
+                v = dom.reduce([a - f * b for a, b in zip(v, row)])
+        return not any(v)
 
 
 def _reduce(ambient_dim, domain, rows):
-    rows = [list(r) for r in rows if any(not domain.is_zero(domain.coerce(c)) for c in r)]
-    if domain is ZZ:
-        basis = hermite_normal_form(rows)
-    else:
-        basis = rref(rows, domain)
+    basis = hermite_normal_form(rows) if domain is ZZ else rref(rows, domain)
     return Submodule(ambient_dim=ambient_dim, domain=domain, basis=tuple(basis))
 
 
@@ -77,12 +87,7 @@ def submodule_leq(a, b):
 def augmentation_ideal(x, domain):
     """Span of the differences a_i - a_0 for 1 <= i < n; rank n - 1."""
     n = x.n
-    rows = []
-    for i in range(1, n):
-        row = [domain.zero] * n
-        row[0] = domain.neg(domain.one)
-        row[i] = domain.one
-        rows.append(row)
+    rows = [[-1] + [int(k == i) for k in range(1, n)] for i in range(1, n)]
     return _reduce(n, domain, rows)
 
 
@@ -175,14 +180,26 @@ def quotient_shape(a, b):
 def _generated_ideal(ring, generators, side):
     """Smallest submodule containing the generators and closed under
     multiplication by every basis element on the given side ("right" or
-    "left"); fixpoint iteration."""
-    current = _reduce(ring.dim, ring.domain, [list(g) for g in generators])
+    "left"); fixpoint iteration.
+
+    v * e_j moves coordinate i of v to table[i][j], along column j of the
+    table, and e_j * v moves it to table[j][i], along row j.  The spare
+    last slot of the scatter list, index -1, takes the zero products.
+    """
+    dom = ring.domain
+    n = ring.dim
+    moves = tuple(zip(*ring.table)) if side == "right" else ring.table
+    current = _reduce(n, dom, generators)
     while True:
         rows = list(current.basis)
         for v in current.basis:
-            for e in map(ring.basis_vector, range(ring.dim)):
-                rows.append(multiply(ring, v, e) if side == "right" else multiply(ring, e, v))
-        nxt = _reduce(ring.dim, ring.domain, rows)
+            for move in moves:
+                w = [dom.zero] * (n + 1)
+                for vi, k in zip(v, move):
+                    w[k] += vi
+                w.pop()
+                rows.append(w)
+        nxt = _reduce(n, dom, rows)
         if nxt.basis == current.basis:
             return current
         current = nxt
@@ -210,16 +227,8 @@ def orbit_summands(x, domain):
             raise NonSplitError(
                 "characteristic %d divides orbit size %d" % (char, len(orb))
             )
-        indicator = [domain.zero] * x.n
-        for v in orb:
-            indicator[v] = domain.one
-        v_triv = _reduce(x.n, domain, [indicator])
-        st_rows = []
-        for v in orb[1:]:
-            row = [domain.zero] * x.n
-            row[orb[0]] = domain.neg(domain.one)
-            row[v] = domain.one
-            st_rows.append(row)
+        v_triv = _reduce(x.n, domain, [[int(k in orb) for k in range(x.n)]])
+        st_rows = [[int(k == v) - int(k == orb[0]) for k in range(x.n)] for v in orb[1:]]
         v_st = _reduce(x.n, domain, st_rows)
         out.append((orb, v_triv, v_st))
     return out
@@ -259,35 +268,18 @@ class DecompositionReport:
 
 
 def _is_right_invariant(ring, sub):
-    for v in sub.basis:
-        for j in range(ring.dim):
-            w = multiply(ring, v, ring.basis_vector(j))
-            if not sub.contains(w):
-                return False
-    return True
-
-
-def _all_nonzero_vectors(domain, basis, p):
-    """Every nonzero F_p-combination of the basis rows."""
-    import itertools
-
-    d = len(basis)
-    for coeffs in itertools.product(range(p), repeat=d):
-        if not any(coeffs):
-            continue
-        v = [domain.zero] * len(basis[0])
-        for c, row in zip(coeffs, basis):
-            for i, e in enumerate(row):
-                v[i] = domain.add(v[i], domain.mul(domain.coerce(c), e))
-        yield v
+    return generated_right_ideal(ring, sub.basis).basis == sub.basis
 
 
 def _simple_by_spinup(ring, sub, p):
     """Over a prime field: every nonzero vector must regenerate the whole
-    summand as a right ideal."""
-    if sub.rank == 0:
-        return False
-    for v in _all_nonzero_vectors(ring.domain, sub.basis, p):
+    summand as a right ideal.  A vector and its nonzero multiples generate
+    the same ideal, so only the combinations of the basis rows whose first
+    nonzero coefficient is 1 are spun up."""
+    for coeffs in itertools.product(range(p), repeat=sub.rank):
+        if next((c for c in coeffs if c), 0) != 1:
+            continue
+        v = [sum(c * row[i] for c, row in zip(coeffs, sub.basis)) for i in range(ring.dim)]
         if generated_right_ideal(ring, [v]).basis != sub.basis:
             return False
     return True
@@ -297,8 +289,9 @@ def verify_simple_decomposition(x, domain):
     """Check the per-orbit indicator/augmentation-zero splitting of the
     quandle ring into right ideals, certifying simplicity where possible.
 
-    Over a prime field simplicity is decided by exhaustive spin-up from
-    every nonzero vector.  Over characteristic zero the rank-2 criterion
+    The 1-dimensional indicator summand is simple whenever it is
+    invariant.  Over a prime field simplicity of the augmentation-zero
+    summand is decided by exhaustive spin-up from its nonzero vectors.  Over characteristic zero the rank-2 criterion
     for the restricted orbit action decides the positive case; anything
     else is reported as unknown.
     """
@@ -313,7 +306,7 @@ def verify_simple_decomposition(x, domain):
         elif len(orb) == 1:
             simple = True  # nothing beyond the trivial summand
         elif char:
-            simple = _simple_by_spinup(ring, v_triv, char) and _simple_by_spinup(ring, v_st, char)
+            simple = _simple_by_spinup(ring, v_st, char)
         else:
             gens = restricted_action(translations, orb)
             simple = True if pair_components(gens, len(orb)) == 1 else "unknown"

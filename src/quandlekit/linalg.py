@@ -1,12 +1,14 @@
-"""Exact linear algebra: integer Hermite/Smith normal forms and generic
-row reduction over a field domain.
+"""Exact linear algebra: integer Hermite/Smith normal forms and row
+reduction over Q or F_p.
 
-All integer arithmetic is on unbounded Python ints; intermediate swell is
-a performance concern only, mitigated by pivoting on the smallest nonzero
-absolute value.
+All arithmetic is plain Python arithmetic on ints and Fractions.  Integer
+intermediate swell is a performance concern only, mitigated by pivoting
+on the smallest nonzero absolute value.  Over F_p each row is brought
+back into [0, p) by the domain's ``reduce``.
 """
 
-from .errors import DimensionMismatchError
+from .domains import ZZ
+from .errors import DimensionMismatchError, PreconditionError
 
 
 def hermite_normal_form(rows):
@@ -198,23 +200,32 @@ def det(matrix):
 
 
 def rref(rows, domain):
-    """Reduced row echelon form over a field domain; zero rows dropped."""
+    """Reduced row echelon form over Q or F_p; zero rows dropped.
+
+    Plain arithmetic on the coerced entries: the pivot inverse is
+    pow(a, -1, p) over F_p and 1 / a over Q, and each new row goes back
+    to normal form through domain.reduce.
+    """
+    if domain is ZZ:
+        raise PreconditionError("row reduction needs a field, not %r" % domain)
+    p = domain.char
     work = [[domain.coerce(v) for v in r] for r in rows]
     if not work:
         return []
     ncols = len(work[0])
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if not domain.is_zero(work[i][c])), None)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = domain.inv(work[r][c])
-        work[r] = [domain.mul(inv, v) for v in work[r]]
+        a = work[r][c]
+        inv = pow(a, -1, p) if p else 1 / a
+        pivot_row = work[r] = domain.reduce([inv * v for v in work[r]])
         for i in range(len(work)):
-            if i != r and not domain.is_zero(work[i][c]):
-                f = work[i][c]
-                work[i] = [domain.sub(a, domain.mul(f, b)) for a, b in zip(work[i], work[r])]
+            f = work[i][c]
+            if i != r and f:
+                work[i] = domain.reduce([x - f * y for x, y in zip(work[i], pivot_row)])
         r += 1
         if r == len(work):
             break
@@ -223,33 +234,6 @@ def rref(rows, domain):
 
 def field_rank(rows, domain):
     return len(rref(rows, domain))
-
-
-def field_solve(basis_rows, v, domain):
-    """Express v as a combination of basis_rows over a field, or None."""
-    if not basis_rows:
-        return None if any(not domain.is_zero(x) for x in v) else []
-    ncols = len(basis_rows[0])
-    k = len(basis_rows)
-    # augmented transpose system: sum c_i * basis_i = v
-    aug = [[basis_rows[i][c] for i in range(k)] + [v[c]] for c in range(ncols)]
-    red = rref(aug, domain)
-    coords = [domain.zero] * k
-    for row in red:
-        piv = next((j for j in range(k + 1) if not domain.is_zero(row[j])), None)
-        if piv is None:
-            continue
-        if piv == k:
-            return None  # inconsistent
-        coords[piv] = row[k]
-        # rref guarantees other basis-columns in this row are reduced; any
-        # non-pivot free column would signal dependence among basis rows,
-        # which callers avoid by passing reduced bases
-    return coords
-
-
-def field_in_span(basis_rows, v, domain):
-    return field_solve(basis_rows, v, domain) is not None
 
 
 def mat_mul(a, b):

@@ -3,7 +3,9 @@
 A BasedRing has a basis e_0 .. e_(n-1) in which every product of two
 basis elements is a basis element or 0, so the ring is an n x n integer
 table, for a quandle ring the quandle's own table: e_i * e_j = e_(i > j).
-Coefficients are plain Python numbers (int, Fraction, or int mod p).
+Coefficients are plain Python numbers (int, Fraction, or int mod p);
+sums and products are plain arithmetic, and the domain's ``reduce``
+brings a result over F_p back into [0, p).
 """
 
 import itertools
@@ -16,7 +18,7 @@ from .errors import (
     DomainMismatchError,
     PreconditionError,
 )
-from .linalg import field_rank
+from .linalg import det, field_rank
 
 DEFAULT_WITNESS_BOX = (-2, -1, 1, 2)
 DEFAULT_ISO_BUDGET = 10**7
@@ -72,43 +74,27 @@ def multiply(ring, u, v):
             for j, vj in nonzero_v:
                 acc[row[j]] += ui * vj
     acc.pop()
-    p = ring.domain.char
-    return [a % p for a in acc] if p else acc
-
-
-def scalar_mul(ring, c, u):
-    return [ring.domain.mul(c, x) for x in u]
-
-
-def add(ring, u, v):
-    return [ring.domain.add(a, b) for a, b in zip(u, v)]
-
-
-def sub(ring, u, v):
-    return [ring.domain.sub(a, b) for a, b in zip(u, v)]
+    return ring.domain.reduce(acc)
 
 
 def augmentation(ring, u):
     """Coefficient-sum map; multiplicative on quandle rings."""
-    dom = ring.domain
-    total = dom.zero
-    for c in u:
-        total = dom.add(total, c)
-    return total
+    return ring.domain.reduce([sum(u, ring.domain.zero)])[0]
+
+
+def _albert_identities(ring, u):
+    """The two power-associativity identities for u, each as (identity,
+    lhs, rhs): "cube" is (u*u)*u = u*(u*u) and "fourth" is
+    (u*u)*(u*u) = ((u*u)*u)*u.  The fourth is computed only when asked for."""
+    uu = multiply(ring, u, u)
+    uu_u = multiply(ring, uu, u)
+    yield "cube", uu_u, multiply(ring, u, uu)
+    yield "fourth", multiply(ring, uu, uu), multiply(ring, uu_u, u)
 
 
 def albert_check(ring, u):
-    """The two power-associativity identities for a single element.
-
-    Returns (first, second): first is (u*u)*u == u*(u*u), second is
-    (u*u)*(u*u) == ((u*u)*u)*u.
-    """
-    uu = multiply(ring, u, u)
-    uu_u = multiply(ring, uu, u)
-    u_uu = multiply(ring, u, uu)
-    first = uu_u == u_uu
-    second = multiply(ring, uu, uu) == multiply(ring, uu_u, u)
-    return first, second
+    """(cube holds, fourth holds) for u, as in _albert_identities."""
+    return tuple(lhs == rhs for _, lhs, rhs in _albert_identities(ring, u))
 
 
 @dataclass(frozen=True)
@@ -127,43 +113,35 @@ def power_assoc_witness(x, domain, box=DEFAULT_WITNESS_BOX):
     characteristic is not 2 or 3; the search itself runs for any domain.
     """
     ring = quandle_ring(x, domain)
-    dom = domain
-    coeffs = [dom.coerce(c) for c in box]
+    coeffs = [domain.coerce(c) for c in box]
     for i in range(x.n):
         for j in range(x.n):
             if i == j:
                 continue
             for a in coeffs:
                 for b in coeffs:
-                    u = [dom.zero] * x.n
+                    u = [domain.zero] * x.n
                     u[i] = a
-                    u[j] = dom.add(u[j], b)
-                    uu = multiply(ring, u, u)
-                    uu_u = multiply(ring, uu, u)
-                    u_uu = multiply(ring, u, uu)
-                    if uu_u != u_uu:
-                        return PowerAssocWitness(tuple(u), "cube", tuple(uu_u), tuple(u_uu))
-                    lhs = multiply(ring, uu, uu)
-                    rhs = multiply(ring, uu_u, u)
-                    if lhs != rhs:
-                        return PowerAssocWitness(tuple(u), "fourth", tuple(lhs), tuple(rhs))
+                    u[j] = b
+                    for identity, lhs, rhs in _albert_identities(ring, u):
+                        if lhs != rhs:
+                            return PowerAssocWitness(tuple(u), identity, tuple(lhs), tuple(rhs))
     return None
 
 
 def right_annihilator_count(x, p):
     """|{v in F_p^n : u*v = 0 for all u}| via the stacked left-multiplication
     constraints e_i * v = 0."""
-    dom = GF(p)
     n = x.n
     # constraint rows: for each i and output coordinate k,
     # sum_j [i>j == k] v_j = 0
     rows = []
     for i in range(n):
         for k in range(n):
-            row = [dom.one if x.table[i][j] == k else dom.zero for j in range(n)]
+            row = [int(x.table[i][j] == k) for j in range(n)]
             if any(row):
                 rows.append(row)
-    rank = field_rank(rows, dom)
+    rank = field_rank(rows, GF(p))
     return p ** (n - rank)
 
 
@@ -189,10 +167,8 @@ def is_ring_isomorphism(r1, r2, matrix):
         return False
     dom = r2.domain
     if dom is ZZ:
-        from .linalg import det
         return abs(det(matrix)) == 1
-    rows = [[dom.coerce(v) for v in row] for row in matrix]
-    return field_rank(rows, dom) == r1.dim
+    return field_rank(matrix, dom) == r1.dim
 
 
 def _multiplication_matrix(ring, u, side, p):

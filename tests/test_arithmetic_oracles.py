@@ -1,0 +1,266 @@
+"""Differential tests of the plain-arithmetic ring layer against the code
+it replaced.
+
+The oracles are the earlier implementations, kept here for small inputs:
+
+- ``oracle_rref``: row reduction with every scalar step a call on a
+  per-element arithmetic object (``ScalarOps``, the methods ``Domain``
+  used to carry), the pivot inverse by Fermat over F_p;
+- ``oracle_field_solve`` / ``oracle_field_in_span``: span membership by
+  solving the augmented transpose system;
+- ``oracle_generated_ideal``: spin-up by ``rings.multiply`` against
+  freshly built basis vectors, for both sides;
+- ``oracle_verify_simple_decomposition``: the per-orbit report with
+  multiply-based invariance and exhaustive spin-up of both summands from
+  every nonzero vector.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_multiply_oracle import DOMAINS, SMALL_QUANDLES, coefficients, ring_and_oracle
+
+from quandlekit.domains import GF, QQ, ZZ
+from quandlekit.lattices import (
+    generated_left_ideal,
+    generated_right_ideal,
+    span,
+    verify_simple_decomposition,
+)
+from quandlekit.linalg import hermite_normal_form, lattice_contains, rref
+from quandlekit.quandles import orbits, right_translation
+from quandlekit.rings import multiply, quandle_ring
+from quandlekit.symmetry import pair_components, restricted_action
+
+FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]
+
+
+class ScalarOps:
+    """Per-element arithmetic of a domain, each result reduced mod p."""
+
+    def __init__(self, domain):
+        self.p = domain.char
+        self.zero = domain.zero
+
+    def _r(self, a):
+        return a % self.p if self.p else a
+
+    def add(self, a, b):
+        return self._r(a + b)
+
+    def sub(self, a, b):
+        return self._r(a - b)
+
+    def mul(self, a, b):
+        return self._r(a * b)
+
+    def is_zero(self, a):
+        return a == self.zero
+
+    def inv(self, a):
+        if self.p:
+            return pow(a, self.p - 2, self.p)
+        return Fraction(1) / a
+
+
+def oracle_rref(rows, domain):
+    ops = ScalarOps(domain)
+    work = [[domain.coerce(v) for v in r] for r in rows]
+    if not work:
+        return []
+    ncols = len(work[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(work)) if not ops.is_zero(work[i][c])), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = ops.inv(work[r][c])
+        work[r] = [ops.mul(inv, v) for v in work[r]]
+        for i in range(len(work)):
+            if i != r and not ops.is_zero(work[i][c]):
+                f = work[i][c]
+                work[i] = [ops.sub(a, ops.mul(f, b)) for a, b in zip(work[i], work[r])]
+        r += 1
+        if r == len(work):
+            break
+    return [tuple(row) for row in work[:r]]
+
+
+def oracle_field_solve(basis_rows, v, domain):
+    """Express v as a combination of basis_rows over a field, or None."""
+    ops = ScalarOps(domain)
+    if not basis_rows:
+        return None if any(not ops.is_zero(x) for x in v) else []
+    k = len(basis_rows)
+    aug = [[basis_rows[i][c] for i in range(k)] + [v[c]] for c in range(len(basis_rows[0]))]
+    coords = [domain.zero] * k
+    for row in oracle_rref(aug, domain):
+        piv = next((j for j in range(k + 1) if not ops.is_zero(row[j])), None)
+        if piv is None:
+            continue
+        if piv == k:
+            return None  # inconsistent
+        coords[piv] = row[k]
+    return coords
+
+
+def oracle_field_in_span(basis_rows, v, domain):
+    return oracle_field_solve(basis_rows, v, domain) is not None
+
+
+def oracle_reduce(domain, rows):
+    """Reduced basis rows, zero rows filtered out entry by entry first."""
+    ops = ScalarOps(domain)
+    rows = [list(r) for r in rows if any(not ops.is_zero(domain.coerce(c)) for c in r)]
+    return tuple(hermite_normal_form(rows) if domain is ZZ else oracle_rref(rows, domain))
+
+
+def oracle_contains(domain, basis, v):
+    if domain is ZZ:
+        return lattice_contains(basis, v)
+    return oracle_field_in_span(list(basis), [domain.coerce(c) for c in v], domain)
+
+
+def oracle_generated_ideal(ring, generators, side):
+    current = oracle_reduce(ring.domain, generators)
+    while True:
+        rows = list(current)
+        for v in current:
+            for e in map(ring.basis_vector, range(ring.dim)):
+                rows.append(multiply(ring, v, e) if side == "right" else multiply(ring, e, v))
+        nxt = oracle_reduce(ring.domain, rows)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def oracle_verify_simple_decomposition(x, domain):
+    """(verdict, [(orbit, dim_triv, dim_st, invariant, simple)])."""
+    ring = quandle_ring(x, domain)
+    ops = ScalarOps(domain)
+    char = domain.char
+
+    def invariant(basis):
+        return all(
+            oracle_contains(domain, basis, multiply(ring, v, ring.basis_vector(j)))
+            for v in basis
+            for j in range(x.n)
+        )
+
+    def simple_by_spinup(basis):
+        if not basis:
+            return False
+        for coeffs in itertools.product(range(char), repeat=len(basis)):
+            if not any(coeffs):
+                continue
+            v = [domain.zero] * x.n
+            for c, row in zip(coeffs, basis):
+                for i, e in enumerate(row):
+                    v[i] = ops.add(v[i], ops.mul(domain.coerce(c), e))
+            if oracle_generated_ideal(ring, [v], "right") != basis:
+                return False
+        return True
+
+    translations = [right_translation(x, j) for j in range(x.n)]
+    entries = []
+    for orb in orbits(x):
+        indicator = [domain.one if v in orb else domain.zero for v in range(x.n)]
+        v_triv = oracle_reduce(domain, [indicator])
+        st_rows = []
+        for v in orb[1:]:
+            row = [domain.zero] * x.n
+            row[orb[0]] = domain.coerce(-1)
+            row[v] = domain.one
+            st_rows.append(row)
+        v_st = oracle_reduce(domain, st_rows)
+        inv = invariant(v_triv) and invariant(v_st)
+        if not inv:
+            simple = False
+        elif len(orb) == 1:
+            simple = True
+        elif char:
+            simple = simple_by_spinup(v_triv) and simple_by_spinup(v_st)
+        else:
+            gens = restricted_action(translations, orb)
+            simple = True if pair_components(gens, len(orb)) == 1 else "unknown"
+        entries.append((tuple(orb), len(v_triv), len(v_st), inv, simple))
+    if any(not e[3] for e in entries):
+        verdict = "failed"
+    elif all(e[4] is True for e in entries):
+        verdict = "verified"
+    elif any(e[4] is False for e in entries):
+        verdict = "not-simple"
+    else:
+        verdict = "inconclusive"
+    return verdict, entries
+
+
+def matrices(draw, domain, ncols):
+    rows = st.lists(coefficients(domain), min_size=ncols, max_size=ncols)
+    return draw(st.lists(rows, min_size=0, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rref_matches_scalar_ops_oracle(data):
+    domain = data.draw(st.sampled_from(FIELDS))
+    rows = matrices(data.draw, domain, data.draw(st.integers(min_value=1, max_value=6)))
+    got, want = rref(rows, domain), oracle_rref(rows, domain)
+    assert got == want
+    assert [type(c) for r in got for c in r] == [type(c) for r in want for c in r]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_contains_matches_field_in_span_oracle(data):
+    domain = data.draw(st.sampled_from(FIELDS))
+    ncols = data.draw(st.integers(min_value=1, max_value=6))
+    sub = span(ncols, domain, matrices(data.draw, domain, ncols))
+    vectors = st.lists(coefficients(domain), min_size=ncols, max_size=ncols)
+    # a combination of the basis, plus a perturbation that is sometimes zero
+    coeffs = data.draw(st.lists(coefficients(domain), min_size=sub.rank, max_size=sub.rank))
+    noise = data.draw(st.one_of(st.just([0] * ncols), vectors))
+    v = [sum((c * row[i] for c, row in zip(coeffs, sub.basis)), 0) + noise[i] for i in range(ncols)]
+    assert sub.contains(v) == oracle_field_in_span(list(sub.basis), [domain.coerce(c) for c in v], domain)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_generated_ideal_matches_multiply_oracle(data):
+    domain = data.draw(st.sampled_from(DOMAINS))
+    ring, _ = ring_and_oracle(data.draw, domain, depth=1)
+    vectors = st.lists(coefficients(domain), min_size=ring.dim, max_size=ring.dim)
+    gens = data.draw(st.lists(vectors, min_size=1, max_size=2))
+    assert generated_right_ideal(ring, gens).basis == oracle_generated_ideal(ring, gens, "right")
+    assert generated_left_ideal(ring, gens).basis == oracle_generated_ideal(ring, gens, "left")
+
+
+def test_field_in_span_oracle_known_case():
+    basis = [(Fraction(1), Fraction(0), Fraction(1)), (Fraction(0), Fraction(1), Fraction(1))]
+    assert oracle_field_solve(basis, [Fraction(2), Fraction(3), Fraction(5)], QQ) == [2, 3]
+    assert not oracle_field_in_span(basis, [Fraction(0), Fraction(0), Fraction(1)], QQ)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_decomposition_matches_parent_on_order_le5(p):
+    checked = 0
+    for q in SMALL_QUANDLES:
+        if any(len(orb) % p == 0 for orb in orbits(q)):
+            continue
+        report = verify_simple_decomposition(q, GF(p))
+        got = [(e.orbit, e.dim_triv, e.dim_st, e.invariant, e.simple) for e in report.entries]
+        assert (report.verdict, got) == oracle_verify_simple_decomposition(q, GF(p))
+        checked += 1
+    assert checked > 0
+
+
+def test_decomposition_matches_parent_over_q_and_z():
+    for q in SMALL_QUANDLES:
+        for domain in (QQ, ZZ):
+            report = verify_simple_decomposition(q, domain)
+            got = [(e.orbit, e.dim_triv, e.dim_st, e.invariant, e.simple) for e in report.entries]
+            assert (report.verdict, got) == oracle_verify_simple_decomposition(q, domain)

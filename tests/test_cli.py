@@ -8,7 +8,8 @@ from quandlekit.counterexamples import PAIR4_X, PAIR4_Y
 from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.errors import QuandleKitError
 from quandlekit.quandles import to_json_dict
-from quandlekit.rings import is_ring_isomorphism, quandle_ring
+from quandlekit.rings import DEFAULT_WITNESS_BOX, is_ring_isomorphism, quandle_ring
+from quandlekit.symmetry import DEFAULT_ENUM_BOUND
 
 
 def run(capsys, *argv):
@@ -319,6 +320,20 @@ def test_decompose_complex_mode(capsys):
     doc = json.loads(stdout)
     assert doc["outputs"]["ok"] is True
     assert doc["outputs"]["total_dim"] == 6
+
+
+def test_decompose_without_input_is_bad_parameters(capsys):
+    code, stdout, err = run(capsys, "decompose")
+    assert code == 2
+    assert stdout == ""
+    assert "table file" in err and "--complex-dihedral" in err
+
+
+def test_defaults_come_from_library_constants():
+    parser = cli.build_parser()
+    assert parser.parse_args(["enumerate", "3"]).bound == DEFAULT_ENUM_BOUND
+    box = parser.parse_args(["power-assoc", "q.json"]).box
+    assert tuple(int(v) for v in box.split(",")) == DEFAULT_WITNESS_BOX
 
 
 def test_union_make(tmp_path, capsys):

@@ -3,15 +3,16 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.domains import GF, QQ
+from quandlekit.domains import GF, QQ, ZZ
+from quandlekit.errors import PreconditionError
+from quandlekit.lattices import span
 from quandlekit.linalg import (
     det,
-    field_in_span,
     field_rank,
-    field_solve,
     hermite_normal_form,
     hnf_coordinates,
     hnf_pivots,
@@ -232,13 +233,15 @@ def test_rref_over_gf5():
 
 
 def test_field_solve_and_span():
-    dom = QQ
-    basis = [(Fraction(1), Fraction(0), Fraction(1)), (Fraction(0), Fraction(1), Fraction(1))]
-    v = [Fraction(2), Fraction(3), Fraction(5)]
-    coords = field_solve(basis, v, dom)
-    assert coords == [Fraction(2), Fraction(3)]
-    assert field_in_span(basis, v, dom)
-    assert not field_in_span(basis, [Fraction(0), Fraction(0), Fraction(1)], dom)
+    # membership by reduction at the RREF pivots (the old field_solve is an
+    # oracle in test_arithmetic_oracles)
+    for dom in (QQ, GF(5)):
+        sub = span(3, dom, [(1, 0, 1), (0, 1, 1)])
+        assert sub.basis == ((1, 0, 1), (0, 1, 1))
+        assert sub.contains([2, 3, 5])
+        assert not sub.contains([0, 0, 1])
+    with pytest.raises(PreconditionError):
+        rref([[2, 4]], ZZ)
 
 
 def test_field_rank_matches_fraction_rank():

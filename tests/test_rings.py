@@ -18,7 +18,6 @@ from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.errors import CapacityError, DimensionMismatchError, PreconditionError
 from quandlekit.quandles import Quandle, dihedral_quandle, trivial_quandle
 from quandlekit.rings import (
-    add,
     albert_check,
     augmentation,
     direct_sum,
@@ -29,7 +28,6 @@ from quandlekit.rings import (
     power_assoc_witness,
     quandle_ring,
     right_annihilator_count,
-    scalar_mul,
 )
 from quandlekit.symmetry import quandles_isomorphic
 
@@ -49,8 +47,8 @@ def test_basis_products_follow_table():
 def test_multiply_is_bilinear_in_left_argument(u, v):
     ring = quandle_ring(dihedral_quandle(3), ZZ)
     w = [1, -1, 2]
-    lhs = multiply(ring, add(ring, u, w), v)
-    rhs = add(ring, multiply(ring, u, v), multiply(ring, w, v))
+    lhs = multiply(ring, [a + b for a, b in zip(u, w)], v)
+    rhs = [a + b for a, b in zip(multiply(ring, u, v), multiply(ring, w, v))]
     assert lhs == rhs
 
 
@@ -200,4 +198,4 @@ def test_brute_force_budget():
 def test_scalar_mul_distributes(c, v):
     ring = quandle_ring(dihedral_quandle(3), ZZ)
     w = [2, 0, -1]
-    assert multiply(ring, scalar_mul(ring, c, v), w) == scalar_mul(ring, c, multiply(ring, v, w))
+    assert multiply(ring, [c * a for a in v], w) == [c * a for a in multiply(ring, v, w)]
