@@ -76,7 +76,7 @@ def span(ambient_dim, domain, rows):
 def submodule_sum(a, b):
     if a.ambient_dim != b.ambient_dim or a.domain is not b.domain:
         raise DomainMismatchError("submodule sum needs matching ambient space")
-    return _reduce(a.ambient_dim, a.domain, list(a.basis) + list(b.basis))
+    return _reduce(a.ambient_dim, a.domain, a.basis + b.basis)
 
 
 def submodule_leq(a, b):
@@ -95,7 +95,7 @@ def submodule_product(ring, a, b):
     """Reduced span of all pairwise products of basis vectors."""
     if a.ambient_dim != ring.dim or b.ambient_dim != ring.dim:
         raise DomainMismatchError("submodules do not live in the given ring")
-    rows = [multiply(ring, u, v) for u in a.basis for v in b.basis]
+    rows = (multiply(ring, u, v) for u in a.basis for v in b.basis)
     return _reduce(ring.dim, ring.domain, rows)
 
 
@@ -267,8 +267,11 @@ class DecompositionReport:
         return {"verdict": self.verdict, "orbits": [e.to_json() for e in self.entries]}
 
 
-def _is_right_invariant(ring, sub):
-    return generated_right_ideal(ring, sub.basis).basis == sub.basis
+def _is_right_invariant(x, orb):
+    """v * e_j moves coordinate i to i > j, so both summands on the orbit
+    are right ideals exactly when every R_j maps the orbit into itself."""
+    inside = set(orb)
+    return all(x.table[i][j] in inside for i in orb for j in range(x.n))
 
 
 def _simple_by_spinup(ring, sub, p):
@@ -300,7 +303,7 @@ def verify_simple_decomposition(x, domain):
     translations = [right_translation(x, j) for j in range(x.n)]
     entries = []
     for orb, v_triv, v_st in orbit_summands(x, domain):
-        invariant = _is_right_invariant(ring, v_triv) and _is_right_invariant(ring, v_st)
+        invariant = _is_right_invariant(x, orb)
         if not invariant:
             simple = False
         elif len(orb) == 1:

@@ -1,9 +1,10 @@
 """Exact linear algebra: integer Hermite/Smith normal forms and row
 reduction over Q or F_p.
 
-All arithmetic is plain Python arithmetic on ints and Fractions.  Integer
-intermediate swell is a performance concern only, mitigated by pivoting
-on the smallest nonzero absolute value.  Over F_p each row is brought
+All arithmetic is plain Python arithmetic on ints and Fractions.  The
+integer HNF is built row by row and stays reduced after every change,
+each row's entries at the later pivots in [0, pivot), which keeps
+intermediate entries from swelling.  Over F_p each row is brought
 back into [0, p) by the domain's ``reduce``.
 """
 
@@ -15,41 +16,48 @@ def hermite_normal_form(rows):
     """Unique row-style HNF of the row lattice.
 
     Pivots positive, entries above a pivot reduced into [0, pivot);
-    zero rows dropped.  Idempotent.
+    zero rows dropped.  Idempotent.  Rows may come from any iterable.
+    Each row is inserted into the HNF of the rows before it, cleared at
+    each pivot by the exact quotient or, failing that, by Euclid.
     """
-    work = [list(r) for r in rows]
-    if not work:
-        return []
-    ncols = len(work[0])
-    for r in work:
-        if len(r) != ncols:
+    basis = {}  # pivot column -> row; the HNF of the rows seen so far
+
+    def reduced(row, c):
+        # entries at the pivots after c into [0, pivot), or they swell
+        for k in sorted(basis):
+            q = row[k] // basis[k][k] if k > c else 0
+            if q:
+                row = [a - q * b for a, b in zip(row, basis[k])]
+        return row
+
+    ncols = None
+    for row in map(list, rows):
+        if ncols is None:
+            ncols = len(row)
+        elif len(row) != ncols:
             raise DimensionMismatchError("ragged matrix")
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, len(work)) if work[i][c] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(work[i][c]))
-            work[r], work[piv] = work[piv], work[r]
-            if work[r][c] < 0:
-                work[r] = [-v for v in work[r]]
-            done = True
-            for i in range(r + 1, len(work)):
-                if work[i][c] != 0:
-                    q = work[i][c] // work[r][c]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                    if work[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < len(work) and work[r][c] != 0:
-            for i in range(r):
-                q = work[i][c] // work[r][c]
+        for c in range(ncols):
+            if not row[c]:
+                continue
+            top = basis.get(c)
+            if top is None:
+                top, row = row, None
+            else:
+                q, r = divmod(row[c], top[c])
+                if not r:
+                    row = [a - q * b for a, b in zip(row, top)]
+                    continue
+                while row[c]:  # Euclid; the leftover row goes on past c
+                    q = top[c] // row[c]
+                    top, row = row, [a - q * b for a, b in zip(top, row)]
+            top = basis[c] = reduced(top if top[c] > 0 else [-a for a in top], c)
+            for k in basis:
+                q = basis[k][c] // top[c] if k < c else 0
                 if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-            r += 1
-    return [tuple(row) for row in work[:r]]
+                    basis[k] = reduced([a - q * b for a, b in zip(basis[k], top)], c)
+            if row is None:
+                break
+    return [tuple(basis[c]) for c in sorted(basis)]
 
 
 def hnf_pivots(hnf_rows):

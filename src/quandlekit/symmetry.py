@@ -331,9 +331,12 @@ def quandles_isomorphic(x, y):
         return None
     if quandle_polynomial(x) != quandle_polynomial(y):
         return None
+    return _find_isomorphism(x, y, _element_invariants(x), _element_invariants(y))
+
+
+def _find_isomorphism(x, y, inv_x, inv_y):
+    """Backtracking of `quandles_isomorphic` on invariants the caller holds."""
     n = x.n
-    inv_x = _element_invariants(x)
-    inv_y = _element_invariants(y)
     candidates = [[w for w in range(n) if inv_y[w] == inv_x[v]] for v in range(n)]
     sigma = [None] * n
     used = [False] * n
@@ -478,9 +481,9 @@ def _enumerate(n):
        until nothing more is forced, and undoes its columns when it
        backtracks.  Every pair of placed columns has then been checked,
        so a complete table is a quandle.
-    3. Complete tables are bucketed by partition type and per-element
-       invariants; one is kept only when `quandles_isomorphic` matches no
-       representative of its bucket.  `canonical_form` runs once per
+    3. Complete tables are bucketed by their sorted per-element
+       invariants, which fix the partition type; one is kept only when
+       `_find_isomorphism` matches no representative of its bucket.  `canonical_form` runs once per
        class, and the result is sorted by canonical table.
     """
     candidates = [_cycle_type_reps(n)] + [_diagonal_fixing_perms(n, j) for j in range(1, n)]
@@ -514,9 +517,10 @@ def _enumerate(n):
 
     def keep():
         q = Quandle(n, tuple(zip(*cols)))
-        reps = buckets.setdefault((partition_type(q), tuple(sorted(_element_invariants(q)))), [])
-        if all(quandles_isomorphic(q, r) is None for r in reps):
-            reps.append(q)
+        inv = _element_invariants(q)
+        reps = buckets.setdefault(tuple(sorted(inv)), [])
+        if all(_find_isomorphism(q, r, inv, inv_r) is None for r, inv_r in reps):
+            reps.append((q, inv))
 
     def search():
         if None not in cols:
@@ -531,5 +535,5 @@ def _enumerate(n):
                 cols[j] = invs[j] = None
 
     search()
-    found = sorted(canonical_form(q) for reps in buckets.values() for q in reps)
+    found = sorted(canonical_form(q) for reps in buckets.values() for q, _ in reps)
     return tuple(Quandle(n, tbl) for tbl in found)

@@ -12,7 +12,11 @@ The oracles are the earlier implementations, kept here for small inputs:
   freshly built basis vectors, for both sides;
 - ``oracle_verify_simple_decomposition``: the per-orbit report with
   multiply-based invariance and exhaustive spin-up of both summands from
-  every nonzero vector.
+  every nonzero vector;
+- ``oracle_hnf``: the integer HNF that swept every row at each column,
+  pivoting on the smallest nonzero absolute value;
+- ``oracle_is_right_invariant``: invariance of a summand as "its
+  generated right ideal is itself", by spin-up.
 """
 
 import itertools
@@ -22,16 +26,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_multiply_oracle import DOMAINS, SMALL_QUANDLES, coefficients, ring_and_oracle
+from test_pair_kernel import cayley_table, dihedral_group
 
+from quandlekit import lattices
 from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.lattices import (
+    _is_right_invariant,
+    delta_powers,
     generated_left_ideal,
     generated_right_ideal,
     span,
     verify_simple_decomposition,
 )
 from quandlekit.linalg import hermite_normal_form, lattice_contains, rref
-from quandlekit.quandles import orbits, right_translation
+from quandlekit.quandles import (
+    alexander_quandle,
+    conjugation_quandle,
+    dihedral_quandle,
+    orbits,
+    right_translation,
+)
 from quandlekit.rings import multiply, quandle_ring
 from quandlekit.symmetry import pair_components, restricted_action
 
@@ -112,11 +126,47 @@ def oracle_field_in_span(basis_rows, v, domain):
     return oracle_field_solve(basis_rows, v, domain) is not None
 
 
+def oracle_hnf(rows):
+    """Row-style HNF by repeated sweeps: at each column, pivot on the row
+    with the smallest nonzero absolute value and reduce every row below
+    it, until the pivot is the only nonzero entry left in the column."""
+    work = [list(r) for r in rows]
+    if not work:
+        return []
+    ncols = len(work[0])
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, len(work)) if work[i][c] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(work[i][c]))
+            work[r], work[piv] = work[piv], work[r]
+            if work[r][c] < 0:
+                work[r] = [-v for v in work[r]]
+            done = True
+            for i in range(r + 1, len(work)):
+                if work[i][c] != 0:
+                    q = work[i][c] // work[r][c]
+                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+                    if work[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < len(work) and work[r][c] != 0:
+            for i in range(r):
+                q = work[i][c] // work[r][c]
+                if q:
+                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+            r += 1
+    return [tuple(row) for row in work[:r]]
+
+
 def oracle_reduce(domain, rows):
     """Reduced basis rows, zero rows filtered out entry by entry first."""
     ops = ScalarOps(domain)
     rows = [list(r) for r in rows if any(not ops.is_zero(domain.coerce(c)) for c in r)]
-    return tuple(hermite_normal_form(rows) if domain is ZZ else oracle_rref(rows, domain))
+    return tuple(oracle_hnf(rows) if domain is ZZ else oracle_rref(rows, domain))
 
 
 def oracle_contains(domain, basis, v):
@@ -136,6 +186,10 @@ def oracle_generated_ideal(ring, generators, side):
         if nxt == current:
             return current
         current = nxt
+
+
+def oracle_is_right_invariant(ring, basis):
+    return oracle_generated_ideal(ring, basis, "right") == basis
 
 
 def oracle_verify_simple_decomposition(x, domain):
@@ -264,3 +318,90 @@ def test_decomposition_matches_parent_over_q_and_z():
             report = verify_simple_decomposition(q, domain)
             got = [(e.orbit, e.dim_triv, e.dim_st, e.invariant, e.simple) for e in report.entries]
             assert (report.verdict, got) == oracle_verify_simple_decomposition(q, domain)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 12 rows of up to 8 entries in [-10^6, 10^6], small entries
+    mixed in so that pivots often divide, plus zero, duplicate, negated and
+    dependent rows."""
+    ncols = draw(st.integers(min_value=0, max_value=8))
+    entry = st.one_of(st.integers(-(10**6), 10**6), st.integers(-4, 4))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "negated", "combination"]))
+        if kind == "zero" or not rows:
+            rows.append([0] * ncols)
+            continue
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        if kind == "duplicate":
+            rows.append(list(u))
+        elif kind == "negated":
+            rows.append([-a for a in u])
+        else:
+            a, b = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+            rows.append([a * x + b * y for x, y in zip(u, v)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices(), st.booleans())
+def test_hnf_matches_sweep_oracle(rows, as_generator):
+    want = oracle_hnf(rows)
+    h = hermite_normal_form((tuple(r) for r in rows) if as_generator else rows)
+    assert h == want
+    assert hermite_normal_form(h) == h
+
+
+def filtration_bases():
+    """The Alexander and conjugation quandles whose integer Delta
+    filtration the filtration-z benchmark workload computes."""
+    alexander = (
+        (5, 2), (7, 3), (8, 3), (9, 2), (10, 3), (11, 2),
+        (12, 5), (13, 2), (15, 2), (16, 3), (17, 3), (19, 2),
+    )
+    groups = [dihedral_group(k) for k in (3, 4, 5, 6, 7)] + [
+        cayley_table([(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)]),  # Q_8
+        cayley_table([(1, 2, 0, 3), (0, 2, 3, 1)]),  # A_4
+    ]
+    return [alexander_quandle(n, t) for n, t in alexander] + [conjugation_quandle(g) for g in groups]
+
+
+def test_hnf_matches_sweep_oracle_on_delta_power_inputs(monkeypatch):
+    """Every HNF input that delta_powers builds over Z, both variants, for
+    R_3..R_12 to Delta^4 and the filtration-z bases to Delta^4."""
+    inputs = []
+
+    def recording_hnf(rows):
+        rows = [tuple(r) for r in rows]
+        inputs.append(rows)
+        return hermite_normal_form(rows)
+
+    monkeypatch.setattr(lattices, "hermite_normal_form", recording_hnf)
+    quandles = [dihedral_quandle(n) for n in range(3, 13)] + filtration_bases()
+    for q in quandles:
+        for variant in (lattices.VARIANT_ALL, lattices.VARIANT_LEFT):
+            delta_powers(q, ZZ, 4, variant)
+    # Delta^1..Delta^4 take 10 reductions with all bracketings, 4 left-normed
+    assert len(inputs) == 14 * len(quandles)
+    for rows in inputs:
+        assert hermite_normal_form(rows) == oracle_hnf(rows)
+
+
+def test_table_invariance_matches_spinup_oracle():
+    """On every subset S of every quandle of order <= 4, and on the orbits
+    of order 5, the table check agrees with spinning up the indicator of S
+    and the differences e_v - e_s0 on S, over every domain."""
+    for q in SMALL_QUANDLES:
+        subsets = list(orbits(q))
+        if q.n <= 4:
+            subsets += [list(c) for k in range(1, q.n + 1) for c in itertools.combinations(range(q.n), k)]
+        for domain in DOMAINS:
+            ring = quandle_ring(q, domain)
+            for sub in subsets:
+                triv = span(q.n, domain, [[int(k in sub) for k in range(q.n)]])
+                st_rows = [[int(k == v) - int(k == sub[0]) for k in range(q.n)] for v in sub[1:]]
+                want = oracle_is_right_invariant(ring, triv.basis) and oracle_is_right_invariant(
+                    ring, span(q.n, domain, st_rows).basis
+                )
+                assert _is_right_invariant(q, sub) == want

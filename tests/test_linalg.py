@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit.domains import GF, QQ, ZZ
-from quandlekit.errors import PreconditionError
+from quandlekit.errors import DimensionMismatchError, PreconditionError
 from quandlekit.lattices import span
 from quandlekit.linalg import (
     det,
@@ -101,6 +101,12 @@ def test_hnf_idempotent_and_preserves_lattice(rows):
         assert lattice_contains(h, r)
     # the HNF rows lie in the lattice of the originals: joint HNF is equal
     assert hermite_normal_form(list(rows) + list(h)) == h
+
+
+def test_hnf_rejects_ragged_rows():
+    for rows in ([(1, 2), (3,)], iter([(1, 2), (0, 0), (3, 4, 5)])):
+        with pytest.raises(DimensionMismatchError):
+            hermite_normal_form(rows)
 
 
 def test_hnf_pivots_strictly_increase():
