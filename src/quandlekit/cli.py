@@ -277,8 +277,7 @@ def cmd_make(args):
         q = load_quandle(args.params[0])
     text = json.dumps(to_json_dict(q), sort_keys=True)
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(args.output, "w", text + "\n")
     else:
         print(text)
     return EXIT_OK
@@ -344,40 +343,55 @@ def _catalog_path(args):
     return os.environ.get(CATALOG_ENV)
 
 
+def _write(path, mode, text):
+    """Write text to the file at path; an unusable path is bad parameters."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise QuandleKitError("cannot write %s: %s" % (path, exc)) from exc
+
+
 def _append_catalog(path, quandles, flags):
     """Append each quandle not yet in the catalog at path, with its
-    (right2t, left2t) pair from flags; returns how many were added."""
+    (right2t, left2t) pair from flags; returns how many were added.
+
+    Every new line is built before the file is touched, and all of them
+    go out in one write."""
     seen = set()
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    seen.add((entry["n"], tuple(tuple(r) for r in entry["table"])))
-                except (ValueError, KeyError, TypeError) as exc:
-                    message = "%s:%d: bad catalog entry: %r" % (path, lineno, exc)
-                    raise MalformedTableError("bad-structure", message) from exc
-    added = 0
-    with open(path, "a", encoding="utf-8") as fh:
-        for q, (right2t, left2t) in zip(quandles, flags):
-            key = (q.n, q.table)
-            if key in seen:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = list(fh)
+        except OSError as exc:
+            raise QuandleKitError("cannot read catalog %s: %s" % (path, exc)) from exc
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
                 continue
-            seen.add(key)
-            entry = {
-                "n": q.n,
-                "table": [list(r) for r in q.table],
-                "partition_type": list(partition_type(q)),
-                "right2t": right2t,
-                "left2t": left2t,
-                "qp": quandle_polynomial(q).to_json(),
-            }
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            added += 1
-    return added
+            try:
+                entry = json.loads(line)
+                seen.add((entry["n"], tuple(tuple(r) for r in entry["table"])))
+            except (ValueError, KeyError, TypeError) as exc:
+                message = "%s:%d: bad catalog entry: %r" % (path, lineno, exc)
+                raise MalformedTableError("bad-structure", message) from exc
+    new = []
+    for q, (right2t, left2t) in zip(quandles, flags):
+        key = (q.n, q.table)
+        if key in seen:
+            continue
+        seen.add(key)
+        entry = {
+            "n": q.n,
+            "table": [list(r) for r in q.table],
+            "partition_type": list(partition_type(q)),
+            "right2t": right2t,
+            "left2t": left2t,
+            "qp": quandle_polynomial(q).to_json(),
+        }
+        new.append(json.dumps(entry, sort_keys=True) + "\n")
+    _write(path, "a", "".join(new))
+    return len(new)
 
 
 def cmd_enumerate(args):

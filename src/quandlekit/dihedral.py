@@ -10,12 +10,7 @@ from dataclasses import dataclass
 
 from .domains import ZZ
 from .errors import PreconditionError, QuandleKitError
-from .lattices import (
-    VARIANT_ALL,
-    delta_powers,
-    dihedral_delta_powers,
-    quotient_shape,
-)
+from .lattices import VARIANT_ALL, delta_powers, quotient_shape
 from .quandles import dihedral_quandle, right_translation
 from .rings import multiply, quandle_ring
 
@@ -218,10 +213,7 @@ def delta_series_shapes(n, k_max, variant=VARIANT_ALL):
     """quotient_shape(Delta^k, Delta^(k+1)) for k = 1..k_max over Z."""
     if n < 2 or k_max < 1:
         raise PreconditionError("need n >= 2 and k_max >= 1")
-    if variant == VARIANT_ALL:
-        powers = dihedral_delta_powers(n, k_max + 1)
-    else:
-        powers = delta_powers(dihedral_quandle(n), ZZ, k_max + 1, variant)
+    powers = delta_powers(dihedral_quandle(n), ZZ, k_max + 1, variant)
     return [quotient_shape(powers[k - 1], powers[k]) for k in range(1, k_max + 1)]
 
 
@@ -233,7 +225,7 @@ def star_relations_check(n):
     """Even n: e_l collapses to (l//2)e_2 (+ e_1 when l is odd) mod Delta^2."""
     if n < 4 or n % 2 != 0:
         raise PreconditionError("needs even n >= 4")
-    delta2 = dihedral_delta_powers(n, 2)[1]
+    delta2 = delta_powers(dihedral_quandle(n), ZZ, 2)[1]
     for l in range(2, n):
         expected = [(2, l // 2)] + ([(1, 1)] if l % 2 else [])
         diff = e_expr(n, [(l, 1)] + [(i, -c) for i, c in expected])
@@ -246,7 +238,7 @@ def odd_relations_check(n):
     """Odd n: e_{2i} + e_{n-2i}, e_k - k*e_1 and n*e_1 all lie in Delta^2."""
     if n < 3 or n % 2 == 0:
         raise PreconditionError("needs odd n >= 3")
-    delta2 = dihedral_delta_powers(n, 2)[1]
+    delta2 = delta_powers(dihedral_quandle(n), ZZ, 2)[1]
     for i in range(1, (n - 1) // 2 + 1):
         if not _in_delta2(n, e_expr(n, [(2 * i, 1), (n - 2 * i, 1)]), delta2):
             return False

@@ -10,11 +10,14 @@ coordinate i to i > j, so for a quandle ring it permutes them by R_j,
 and a right ideal is a subspace closed under these permutations.  Ideals
 are spun up by moving coordinates along the ring's table, without ring
 multiplication.
+
+The augmentation-ideal powers Delta^k are computed afresh on every call,
+with no cache: each power is one reduction of the products of all its
+bracketings.
 """
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .domains import ZZ
 from .errors import (
@@ -30,7 +33,7 @@ from .linalg import (
     rref,
     smith_normal_form,
 )
-from .quandles import dihedral_quandle, orbits, right_translation
+from .quandles import orbits, right_translation
 from .rings import multiply, quandle_ring
 from .symmetry import pair_components, restricted_action
 
@@ -102,9 +105,10 @@ def submodule_product(ring, a, b):
 def delta_powers(x, domain, k_max, variant=VARIANT_ALL):
     """[Delta^1, ..., Delta^k_max] for the quandle ring of x.
 
-    The default combines every bracketing: Delta^k is the sum of
-    Delta^i * Delta^j over i + j = k.  The left-normed variant uses
-    Delta^k = Delta^(k-1) * Delta only.
+    The default combines every bracketing: Delta^k is spanned by the
+    products Delta^i * Delta^j over i + j = k.  The left-normed variant
+    uses Delta^k = Delta^(k-1) * Delta only.  Each power is one reduction
+    of all its products.
     """
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
@@ -113,19 +117,15 @@ def delta_powers(x, domain, k_max, variant=VARIANT_ALL):
     ring = quandle_ring(x, domain)
     powers = [augmentation_ideal(x, domain)]
     for k in range(2, k_max + 1):
-        if variant == VARIANT_LEFT:
-            nxt = submodule_product(ring, powers[k - 2], powers[0])
-        else:
-            nxt = None
-            for i in range(1, k):
-                term = submodule_product(ring, powers[i - 1], powers[k - i - 1])
-                nxt = term if nxt is None else submodule_sum(nxt, term)
-        powers.append(nxt)
+        splits = [(k - 1, 1)] if variant == VARIANT_LEFT else [(i, k - i) for i in range(1, k)]
+        rows = (
+            multiply(ring, u, v)
+            for i, j in splits
+            for u in powers[i - 1].basis
+            for v in powers[j - 1].basis
+        )
+        powers.append(_reduce(x.n, domain, rows))
     return powers
-
-
-def delta_power(x, domain, k, variant=VARIANT_ALL):
-    return delta_powers(x, domain, k, variant)[k - 1]
 
 
 @dataclass(frozen=True)
@@ -331,9 +331,3 @@ def verify_simple_decomposition(x, domain):
     else:
         verdict = "inconclusive"
     return DecompositionReport(entries=tuple(entries), verdict=verdict)
-
-
-@lru_cache(maxsize=None)
-def dihedral_delta_powers(n, k_max, variant=VARIANT_ALL):
-    """Integer Delta filtration of the dihedral quandle ring, cached."""
-    return tuple(delta_powers(dihedral_quandle(n), ZZ, k_max, variant))

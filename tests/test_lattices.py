@@ -11,7 +11,6 @@ from quandlekit.lattices import (
     VARIANT_LEFT,
     AbelianGroupShape,
     augmentation_ideal,
-    delta_power,
     delta_powers,
     generated_left_ideal,
     generated_right_ideal,
@@ -86,7 +85,7 @@ def test_delta_power_variants():
 
 def test_delta_power_bad_args():
     with pytest.raises(PreconditionError):
-        delta_power(dihedral_quandle(3), ZZ, 0)
+        delta_powers(dihedral_quandle(3), ZZ, 0)
     with pytest.raises(PreconditionError):
         delta_powers(dihedral_quandle(3), ZZ, 2, "sideways")
 

@@ -1,5 +1,5 @@
-"""Differential tests of the pair-digraph kernel and the peak maximal
-subgroups against the searches they replaced.
+"""Differential tests of the pair-digraph kernel and the peak
+2-transitivity predicate against the searches they replaced.
 
 ``pair_components`` counts strongly connected components of the digraph
 on ordered pairs of distinct points.  The oracles below are the earlier
@@ -8,7 +8,8 @@ reachability set from every pair for semigroups, and the one-step image
 check for collections closed under composition.  They are quadratic in
 the number of pairs and stay here only as references for small inputs.
 ``oracle_maximal_subgroups`` finds the units of eSe at every idempotent by
-a pairwise search for inverses, quadratic in |eSe|.
+a pairwise search for inverses, quadratic in |eSe|; the peak predicate is
+checked against the one-step check on the subgroups it finds.
 """
 
 import itertools
@@ -34,16 +35,15 @@ from quandlekit.symmetry import (
     DEFAULT_CLOSURE_CAP,
     GeneratedSemigroup,
     _closure,
+    _peak_2transitive,
     compose,
     enumerate_quandles,
     inner_group,
-    is_2transitive,
     is_left_2transitive,
     is_left_peak_2transitive,
     is_right_2transitive,
     is_right_orbit_2transitive,
     left_semigroup,
-    maximal_subgroup_at_idempotents,
     pair_components,
     restricted_action,
 )
@@ -157,13 +157,18 @@ def oracle_peak_subgroups(s):
     return {e: group.elements for e, group in oracle_maximal_subgroups(s) if len(set(e)) == maxrank}
 
 
+def oracle_peak_2transitive(s):
+    """Some peak maximal subgroup of s is 2-transitive on its image."""
+    return any(
+        oracle_one_step_2transitive(elements, len(set(e)))
+        for e, elements in oracle_peak_subgroups(s).items()
+    )
+
+
 def oracle_left_peak_2transitive(x):
     if x.n <= 1:
         return True
-    return any(
-        oracle_one_step_2transitive(elements, len(set(e)))
-        for e, elements in oracle_peak_subgroups(left_semigroup(x)).items()
-    )
+    return oracle_peak_2transitive(left_semigroup(x))
 
 
 def relabel(q, rng):
@@ -237,17 +242,6 @@ def test_predicates_match_oracles():
 def test_left_peak_matches_oracle():
     for q in small_quandles() + family_quandles():
         assert is_left_peak_2transitive(q) == oracle_left_peak_2transitive(q), q.table
-        for e, group in maximal_subgroup_at_idempotents(left_semigroup(q)):
-            m = len(set(e))
-            expected = oracle_one_step_2transitive(group.elements, m)
-            assert is_2transitive(group.elements, m) == expected, q.table
-
-
-def test_peak_subgroups_match_oracle():
-    for q in small_quandles() + family_quandles():
-        h = left_semigroup(q)
-        found = {e: group.elements for e, group in maximal_subgroup_at_idempotents(h)}
-        assert found == oracle_peak_subgroups(h), q.table
 
 
 def test_left_peak_of_conj_s4_is_fast():
@@ -293,8 +287,19 @@ def test_semigroup_single_component_is_2transitive(case):
 def test_peak_subgroups_of_random_semigroups(case):
     m, gens = case
     s = GeneratedSemigroup(tuple(gens), frozenset(_closure(gens, False, DEFAULT_CLOSURE_CAP)))
-    found = {e: group.elements for e, group in maximal_subgroup_at_idempotents(s)}
-    assert found == oracle_peak_subgroups(s)
+    assert _peak_2transitive(s.elements) == oracle_peak_2transitive(s)
+
+
+def test_peak_2transitive_basics():
+    sym3 = [tuple(p) for p in itertools.permutations(range(3))]
+    assert _peak_2transitive(sym3)
+    # the rotations of three points are transitive, not 2-transitive
+    assert not _peak_2transitive([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    # constants are rank-1 idempotents, vacuously 2-transitive
+    assert _peak_2transitive([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
+    # the rows of the one-swap quandle reach rank 2, but no idempotent does
+    assert not _peak_2transitive([(0, 0, 1), (1, 1, 0), (0, 0, 0), (1, 1, 1), (2, 2, 2)])
+    assert not _peak_2transitive([])
 
 
 def test_constant_maps_isolate_every_pair():

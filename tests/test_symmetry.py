@@ -20,7 +20,6 @@ from quandlekit.symmetry import (
     identity,
     inner_group,
     inverse,
-    is_2transitive,
     is_left_2transitive,
     is_left_cyclic_type,
     is_left_peak_2transitive,
@@ -28,7 +27,6 @@ from quandlekit.symmetry import (
     is_right_cyclic_type,
     is_right_orbit_2transitive,
     left_semigroup,
-    maximal_subgroup_at_idempotents,
     quandle_polynomial,
     quandles_isomorphic,
     restricted_action,
@@ -88,13 +86,6 @@ def test_restricted_action():
         restricted_action(gens, (0, 1))
 
 
-def test_is_2transitive_basics():
-    sym3 = [tuple(p) for p in itertools.permutations(range(3))]
-    assert is_2transitive(sym3, 3)
-    assert not is_2transitive([(0, 0, 0), (1, 1, 1), (2, 2, 2)], 3)
-    assert is_2transitive([], 1)
-
-
 def test_inn_r5_not_2transitive():
     assert not is_right_2transitive(dihedral_quandle(5))
     assert is_right_2transitive(dihedral_quandle(3))
@@ -131,24 +122,6 @@ def test_right_2transitive_implies_right_cyclic():
         for q in enumerate_quandles(n):
             if is_right_2transitive(q):
                 assert is_right_cyclic_type(q)
-
-
-def test_maximal_subgroups_of_constants():
-    h = left_semigroup(trivial_quandle(3))
-    subs = maximal_subgroup_at_idempotents(h)
-    assert len(subs) == 3
-    for e, group in subs:
-        assert compose(e, e) == e
-        assert len(group.elements) == 1
-
-
-def test_maximal_subgroup_of_group_is_group():
-    h = left_semigroup(dihedral_quandle(3))
-    subs = maximal_subgroup_at_idempotents(h)
-    # rows generate a group, so the identity is the only idempotent
-    assert len(subs) == 1
-    _, group = subs[0]
-    assert len(group.elements) == 6
 
 
 def test_quandle_polynomial_trivial():
