@@ -94,6 +94,7 @@ CATALOG_ENV = "QUANDLEKIT_CATALOG"
 EXPECTED = {
     # n -> (isomorphism classes, right-orbit-2-transitive, left-peak-2-transitive)
     "enumeration": {3: (3, 3, 2), 4: (7, 6, 3), 5: (22, 16, 7)},
+    "enumeration_stretch": {6: (73, 42, 14)},  # checked by the acceptance tests only
     "inner_group_sizes": {3: 6, 5: 10},
     "delta_odd": {n: ["Z_%d" % n] * 3 for n in (3, 5, 7, 9)},
     "delta_even_first": {n: "Z + Z_%d" % (n // 2) for n in (4, 6, 8, 10)},

@@ -7,13 +7,11 @@ Coefficients are plain numbers, read into the domain by the reduction.
 
 Multiplying by a basis element only moves coordinates: v * e_j sends
 coordinate i to i > j, so for a quandle ring it permutes them by R_j,
-and a right ideal is a subspace closed under these permutations.  Ideals
-are spun up by moving coordinates along the ring's table, without ring
-multiplication.
-
-The augmentation-ideal powers Delta^k are computed afresh on every call,
-with no cache: each power is one reduction of the products of all its
-bracketings.
+and a right ideal is a subspace closed under these permutations.  Each
+R_j is a quandle automorphism, so v -> v * e_j is a ring automorphism
+that keeps the augmentation, and every power Delta^k of the augmentation
+ideal is closed under Inn(X).  Ideals and powers alike are spun up
+(``_spin``) afresh on every call, with no cache.
 """
 
 import itertools
@@ -27,13 +25,14 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import (
+    echelon,
     hermite_normal_form,
     hnf_coordinates,
     lattice_contains,
     rref,
     smith_normal_form,
 )
-from .quandles import orbits, right_translation
+from .quandles import generating_set, orbits, right_translation
 from .rings import multiply, quandle_ring
 from .symmetry import pair_components, restricted_action
 
@@ -54,32 +53,23 @@ class Submodule:
     def contains(self, v):
         if len(v) != self.ambient_dim:
             raise DomainMismatchError("vector length does not match ambient dimension")
-        dom = self.domain
-        if dom is ZZ:
+        if self.domain is ZZ:
             return lattice_contains(self.basis, v)
-        # clear v at each pivot of the RREF basis (the pivot entries are 1)
-        v = [dom.coerce(c) for c in v]
-        for row in self.basis:
-            f = v[next(c for c, a in enumerate(row) if a)]
-            if f:
-                v = dom.reduce([a - f * b for a, b in zip(v, row)])
-        return not any(v)
-
-
-def _reduce(ambient_dim, domain, rows):
-    basis = hermite_normal_form(rows) if domain is ZZ else rref(rows, domain)
-    return Submodule(ambient_dim=ambient_dim, domain=domain, basis=tuple(basis))
+        form = echelon(self.domain)
+        form.extend(self.basis)
+        return not form.insert(v)
 
 
 def span(ambient_dim, domain, rows):
     """Submodule spanned by arbitrary generator rows."""
-    return _reduce(ambient_dim, domain, rows)
+    basis = hermite_normal_form(rows) if domain is ZZ else rref(rows, domain)
+    return Submodule(ambient_dim=ambient_dim, domain=domain, basis=tuple(basis))
 
 
 def submodule_sum(a, b):
     if a.ambient_dim != b.ambient_dim or a.domain is not b.domain:
         raise DomainMismatchError("submodule sum needs matching ambient space")
-    return _reduce(a.ambient_dim, a.domain, a.basis + b.basis)
+    return span(a.ambient_dim, a.domain, a.basis + b.basis)
 
 
 def submodule_leq(a, b):
@@ -88,10 +78,10 @@ def submodule_leq(a, b):
 
 
 def augmentation_ideal(x, domain):
-    """Span of the differences a_i - a_0 for 1 <= i < n; rank n - 1."""
+    """Span of a_i - a_(n-1) for i < n - 1, rank n - 1; the rows already are its HNF or RREF."""
     n = x.n
-    rows = [[-1] + [int(k == i) for k in range(1, n)] for i in range(1, n)]
-    return _reduce(n, domain, rows)
+    rows = (tuple(domain.coerce(int(k == i) - int(k == n - 1)) for k in range(n)) for i in range(n - 1))
+    return Submodule(ambient_dim=n, domain=domain, basis=tuple(rows))
 
 
 def submodule_product(ring, a, b):
@@ -99,33 +89,61 @@ def submodule_product(ring, a, b):
     if a.ambient_dim != ring.dim or b.ambient_dim != ring.dim:
         raise DomainMismatchError("submodules do not live in the given ring")
     rows = (multiply(ring, u, v) for u in a.basis for v in b.basis)
-    return _reduce(ring.dim, ring.domain, rows)
+    return span(ring.dim, ring.domain, rows)
+
+
+def _spin(domain, seeds, moves):
+    """(reduced basis, grown seeds) of the smallest submodule holding the
+    seeds and closed under the linear moves; a move scatters coordinate i
+    to move[i], index -1 (a spare slot) taking zero products.  Only rows
+    that grew the span have their images inserted, and the seeds that grew
+    it spin up to the same submodule."""
+    form = echelon(domain)
+    grown = []
+    for seed in seeds:
+        if not form.insert(seed):
+            continue
+        grown.append(seed)
+        stack = [seed]
+        while stack:
+            v = stack.pop()
+            for move in moves:
+                w = [domain.zero] * (len(v) + 1)
+                for vi, k in zip(v, move):
+                    w[k] += vi
+                w.pop()
+                if form.insert(w):
+                    stack.append(w)
+    return tuple(form.rows()), grown
 
 
 def delta_powers(x, domain, k_max, variant=VARIANT_ALL):
     """[Delta^1, ..., Delta^k_max] for the quandle ring of x.
 
-    The default combines every bracketing: Delta^k is spanned by the
-    products Delta^i * Delta^j over i + j = k.  The left-normed variant
-    uses Delta^k = Delta^(k-1) * Delta only.  Each power is one reduction
-    of all its products.
+    The default combines every bracketing, Delta^k = sum of Delta^i *
+    Delta^j over i + j = k; the left-normed variant uses Delta^(k-1) * Delta
+    only.  A product of Inn(X)-closed powers is spun up under the R_a of a
+    generating set of X from the products of the grown seeds of one factor
+    with the basis of the other, whichever pairing is smaller.
     """
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
     if variant not in (VARIANT_ALL, VARIANT_LEFT):
         raise PreconditionError("unknown variant %r" % variant)
     ring = quandle_ring(x, domain)
-    powers = [augmentation_ideal(x, domain)]
+    columns = (tuple(row[a] for row in x.table) for a in generating_set(x))
+    moves = [m for m in dict.fromkeys(columns) if m != tuple(range(x.n))]
+    factors = [_spin(domain, augmentation_ideal(x, domain).basis, moves)]  # (basis, grown seeds)
+
+    def products(i, j):
+        (bi, si), (bj, sj) = factors[i - 1], factors[j - 1]
+        left, right = (si, bj) if len(si) * len(bj) <= len(bi) * len(sj) else (bi, sj)
+        return (multiply(ring, u, v) for u in left for v in right)
+
     for k in range(2, k_max + 1):
         splits = [(k - 1, 1)] if variant == VARIANT_LEFT else [(i, k - i) for i in range(1, k)]
-        rows = (
-            multiply(ring, u, v)
-            for i, j in splits
-            for u in powers[i - 1].basis
-            for v in powers[j - 1].basis
-        )
-        powers.append(_reduce(x.n, domain, rows))
-    return powers
+        factors.append(_spin(domain, (w for i, j in splits for w in products(i, j)), moves))
+    return [Submodule(ambient_dim=x.n, domain=domain, basis=basis) for basis, _ in factors]
 
 
 @dataclass(frozen=True)
@@ -180,29 +198,14 @@ def quotient_shape(a, b):
 def _generated_ideal(ring, generators, side):
     """Smallest submodule containing the generators and closed under
     multiplication by every basis element on the given side ("right" or
-    "left"); fixpoint iteration.
+    "left"), by one spin-up.
 
     v * e_j moves coordinate i of v to table[i][j], along column j of the
-    table, and e_j * v moves it to table[j][i], along row j.  The spare
-    last slot of the scatter list, index -1, takes the zero products.
+    table, and e_j * v moves it to table[j][i], along row j.
     """
-    dom = ring.domain
-    n = ring.dim
     moves = tuple(zip(*ring.table)) if side == "right" else ring.table
-    current = _reduce(n, dom, generators)
-    while True:
-        rows = list(current.basis)
-        for v in current.basis:
-            for move in moves:
-                w = [dom.zero] * (n + 1)
-                for vi, k in zip(v, move):
-                    w[k] += vi
-                w.pop()
-                rows.append(w)
-        nxt = _reduce(n, dom, rows)
-        if nxt.basis == current.basis:
-            return current
-        current = nxt
+    basis, _ = _spin(ring.domain, generators, moves)
+    return Submodule(ambient_dim=ring.dim, domain=ring.domain, basis=basis)
 
 
 def generated_right_ideal(ring, generators):
@@ -227,9 +230,9 @@ def orbit_summands(x, domain):
             raise NonSplitError(
                 "characteristic %d divides orbit size %d" % (char, len(orb))
             )
-        v_triv = _reduce(x.n, domain, [[int(k in orb) for k in range(x.n)]])
+        v_triv = span(x.n, domain, [[int(k in orb) for k in range(x.n)]])
         st_rows = [[int(k == v) - int(k == orb[0]) for k in range(x.n)] for v in orb[1:]]
-        v_st = _reduce(x.n, domain, st_rows)
+        v_st = span(x.n, domain, st_rows)
         out.append((orb, v_triv, v_st))
     return out
 

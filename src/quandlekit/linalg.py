@@ -1,42 +1,56 @@
 """Exact linear algebra: integer Hermite/Smith normal forms and row
-reduction over Q or F_p.
+reduction over Q or F_p, in plain Python arithmetic on ints and Fractions.
 
-All arithmetic is plain Python arithmetic on ints and Fractions.  The
-integer HNF is built row by row and stays reduced after every change,
-each row's entries at the later pivots in [0, pivot), which keeps
-intermediate entries from swelling.  Over F_p each row is brought
-back into [0, p) by the domain's ``reduce``.
+Both reduced forms are built one row at a time by an echelon form whose
+``insert`` reports whether the span grew.  The integer HNF stays reduced
+after every change, each row's entries at the later pivots in [0, pivot),
+which keeps intermediate entries from swelling.
 """
 
 from .domains import ZZ
 from .errors import DimensionMismatchError, PreconditionError
 
 
-def hermite_normal_form(rows):
-    """Unique row-style HNF of the row lattice.
+class _Echelon:
+    """Reduced basis of the rows inserted so far, by pivot column."""
 
-    Pivots positive, entries above a pivot reduced into [0, pivot);
-    zero rows dropped.  Idempotent.  Rows may come from any iterable.
-    Each row is inserted into the HNF of the rows before it, cleared at
-    each pivot by the exact quotient or, failing that, by Euclid.
-    """
-    basis = {}  # pivot column -> row; the HNF of the rows seen so far
+    def __init__(self):
+        self.basis = {}  # pivot column -> row
+        self.ncols = None
 
-    def reduced(row, c):
-        # entries at the pivots after c into [0, pivot), or they swell
-        for k in sorted(basis):
-            q = row[k] // basis[k][k] if k > c else 0
-            if q:
-                row = [a - q * b for a, b in zip(row, basis[k])]
+    def _checked(self, row):
+        row = list(row)
+        if self.ncols is None:
+            self.ncols = len(row)
+        elif len(row) != self.ncols:
+            raise DimensionMismatchError("ragged matrix")
         return row
 
-    ncols = None
-    for row in map(list, rows):
-        if ncols is None:
-            ncols = len(row)
-        elif len(row) != ncols:
-            raise DimensionMismatchError("ragged matrix")
-        for c in range(ncols):
+    def extend(self, rows):
+        for row in rows:
+            self.insert(row)
+        return self.rows()
+
+    def rows(self):
+        return [tuple(self.basis[c]) for c in sorted(self.basis)]
+
+
+class IntegerEchelon(_Echelon):
+    """Row-style HNF, pivots positive and entries above them in [0, pivot);
+    a row is cleared at each pivot by the exact quotient, else by Euclid."""
+
+    def _reduced(self, row, c):
+        # entries at the pivots after c into [0, pivot), or they swell
+        for k, top in sorted(self.basis.items()):
+            q = row[k] // top[k] if k > c else 0
+            if q:
+                row = [a - q * b for a, b in zip(row, top)]
+        return row
+
+    def insert(self, row):
+        """Add row to the lattice; True when the lattice grew."""
+        basis, row, grew = self.basis, self._checked(row), False
+        for c in range(self.ncols):
             if not row[c]:
                 continue
             top = basis.get(c)
@@ -50,24 +64,59 @@ def hermite_normal_form(rows):
                 while row[c]:  # Euclid; the leftover row goes on past c
                     q = top[c] // row[c]
                     top, row = row, [a - q * b for a, b in zip(top, row)]
-            top = basis[c] = reduced(top if top[c] > 0 else [-a for a in top], c)
+            grew = True
+            top = basis[c] = self._reduced(top if top[c] > 0 else [-a for a in top], c)
             for k in basis:
                 q = basis[k][c] // top[c] if k < c else 0
                 if q:
-                    basis[k] = reduced([a - q * b for a, b in zip(basis[k], top)], c)
+                    basis[k] = self._reduced([a - q * b for a, b in zip(basis[k], top)], c)
             if row is None:
                 break
-    return [tuple(basis[c]) for c in sorted(basis)]
+        return grew
 
 
-def hnf_pivots(hnf_rows):
-    pivots = []
-    for row in hnf_rows:
-        for c, v in enumerate(row):
-            if v != 0:
-                pivots.append(c)
-                break
-    return pivots
+class FieldEchelon(_Echelon):
+    """Reduced row echelon form over Q or F_p, entries coerced into the
+    domain; each pivot row is 1 at its pivot and 0 at the others."""
+
+    def __init__(self, domain):
+        if domain is ZZ:
+            raise PreconditionError("row reduction needs a field, not %r" % domain)
+        super().__init__()
+        self.domain = domain
+
+    def insert(self, row):
+        """Add row to the span; True when the span grew."""
+        dom, basis, p = self.domain, self.basis, self.domain.char
+        row = self._checked(row)
+        if len(basis) == self.ncols:
+            return False
+        row = [dom.coerce(v) for v in row]
+        for c, top in basis.items():
+            f = row[c] % p if p else row[c]
+            if f:
+                row = [a - f * b for a, b in zip(row, top)]
+        row = dom.reduce(row)
+        c = next((c for c, a in enumerate(row) if a), None)
+        if c is None:
+            return False
+        inv = pow(row[c], -1, p) if p else 1 / row[c]
+        top = basis[c] = dom.reduce([inv * v for v in row])
+        for k, other in basis.items():
+            if other[c] and k != c:
+                basis[k] = dom.reduce([a - other[c] * b for a, b in zip(other, top)])
+        return True
+
+
+def echelon(domain):
+    """An empty incremental echelon form over the domain."""
+    return IntegerEchelon() if domain is ZZ else FieldEchelon(domain)
+
+
+def hermite_normal_form(rows):
+    """Unique row-style HNF of the row lattice; zero rows dropped.
+    Idempotent.  Rows may come from any iterable."""
+    return IntegerEchelon().extend(rows)
 
 
 def hnf_coordinates(hnf_rows, v):
@@ -208,36 +257,8 @@ def det(matrix):
 
 
 def rref(rows, domain):
-    """Reduced row echelon form over Q or F_p; zero rows dropped.
-
-    Plain arithmetic on the coerced entries: the pivot inverse is
-    pow(a, -1, p) over F_p and 1 / a over Q, and each new row goes back
-    to normal form through domain.reduce.
-    """
-    if domain is ZZ:
-        raise PreconditionError("row reduction needs a field, not %r" % domain)
-    p = domain.char
-    work = [[domain.coerce(v) for v in r] for r in rows]
-    if not work:
-        return []
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        a = work[r][c]
-        inv = pow(a, -1, p) if p else 1 / a
-        pivot_row = work[r] = domain.reduce([inv * v for v in work[r]])
-        for i in range(len(work)):
-            f = work[i][c]
-            if i != r and f:
-                work[i] = domain.reduce([x - f * y for x, y in zip(work[i], pivot_row)])
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]]
+    """Reduced row echelon form over Q or F_p; zero rows dropped."""
+    return FieldEchelon(domain).extend(rows)
 
 
 def field_rank(rows, domain):

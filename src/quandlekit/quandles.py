@@ -245,6 +245,21 @@ def orbit_partition_type(orbs, n):
     return tuple(lam)
 
 
+def generating_set(x):
+    """Greedy generators: each the least element outside the closure under
+    the operation of the ones before (a subquandle, as X is finite).  Since
+    R_(x > y) = R_y R_x R_y^-1, their R_a generate Inn(X)."""
+    gens, inside = [], set()
+    for a in range(x.n):
+        if a not in inside:
+            gens.append(a)
+            new = {a}
+            while new:  # pairs with a new element on either side
+                inside |= new
+                new = {w for u in new for v in inside for w in (x.table[u][v], x.table[v][u])} - inside
+    return tuple(gens)
+
+
 def right_translation(x, j):
     """R_j: i -> i > j, a permutation of [0,n)."""
     if not 0 <= j < x.n:

@@ -99,7 +99,7 @@ def test_criterion_01_stretch_order6():
     elapsed = time.monotonic() - start
     record(
         1,
-        counts == (73, 42, 14) and elapsed < 30,
+        counts == cli.EXPECTED["enumeration_stretch"][6] and elapsed < 30,
         "classes/right-2t/left-2t for n=6: %s" % (counts,),
         elapsed,
     )

@@ -8,25 +8,31 @@ The oracles are the earlier implementations, kept here for small inputs:
   used to carry), the pivot inverse by Fermat over F_p;
 - ``oracle_field_solve`` / ``oracle_field_in_span``: span membership by
   solving the augmented transpose system;
-- ``oracle_generated_ideal``: spin-up by ``rings.multiply`` against
+- ``oracle_generated_ideal``: fixpoint spin-up by ``rings.multiply`` against
   freshly built basis vectors, for both sides;
 - ``oracle_verify_simple_decomposition``: the per-orbit report with
   multiply-based invariance and exhaustive spin-up of both summands from
   every nonzero vector;
 - ``oracle_hnf``: the integer HNF that swept every row at each column,
   pivoting on the smallest nonzero absolute value;
+- ``oracle_delta_powers``: each Delta^k as one reduction (``oracle_hnf``
+  over Z, ``oracle_rref`` over a field) of the products of all pairs of
+  basis rows over its bracketings, the method ``delta_powers`` used before
+  it spun up each power under Inn(X);
 - ``oracle_is_right_invariant``: invariance of a summand as "its
   generated right ideal is itself", by spin-up.
 """
 
+import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_multiply_oracle import DOMAINS, SMALL_QUANDLES, coefficients, ring_and_oracle
-from test_pair_kernel import cayley_table, dihedral_group
+from test_pair_kernel import cayley_table, dihedral_group, relabel
 
 from quandlekit import lattices
 from quandlekit.domains import GF, QQ, ZZ
@@ -43,6 +49,7 @@ from quandlekit.quandles import (
     alexander_quandle,
     conjugation_quandle,
     dihedral_quandle,
+    disjoint_union,
     orbits,
     right_translation,
 )
@@ -354,7 +361,7 @@ def test_hnf_matches_sweep_oracle(rows, as_generator):
 
 
 def filtration_bases():
-    """The Alexander and conjugation quandles whose integer Delta
+    """The Alexander, conjugation and union quandles whose integer Delta
     filtration the filtration-z benchmark workload computes."""
     alexander = (
         (5, 2), (7, 3), (8, 3), (9, 2), (10, 3), (11, 2),
@@ -364,28 +371,79 @@ def filtration_bases():
         cayley_table([(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)]),  # Q_8
         cayley_table([(1, 2, 0, 3), (0, 2, 3, 1)]),  # A_4
     ]
-    return [alexander_quandle(n, t) for n, t in alexander] + [conjugation_quandle(g) for g in groups]
+    r, a = dihedral_quandle, alexander_quandle
+    unions = [
+        disjoint_union(r(3), r(3)),
+        disjoint_union(r(3), r(5)),
+        disjoint_union(r(5), a(7, 3)),
+        disjoint_union(r(9), r(9)),
+        disjoint_union(disjoint_union(r(3), r(3)), r(3)),
+        disjoint_union(r(7), r(11)),
+    ]
+    return [a(n, t) for n, t in alexander] + [conjugation_quandle(g) for g in groups] + unions
 
 
-def test_hnf_matches_sweep_oracle_on_delta_power_inputs(monkeypatch):
-    """Every HNF input that delta_powers builds over Z, both variants, for
-    R_3..R_12 to Delta^4 and the filtration-z bases to Delta^4."""
+def delta_cases(max_n):
+    """R_2..R_32, the filtration bases and one seeded relabeling of each,
+    of order at most max_n."""
+    base = [dihedral_quandle(n) for n in range(2, 33)] + filtration_bases()
+    rng = random.Random(20190108)
+    cases = base + [relabel(q, rng) for q in base]
+    return [q for q in cases if q.n <= max_n]
+
+
+def oracle_hnf_in_chunks(rows, size=64):
+    """oracle_hnf of the distinct nonzero rows, taken size at a time
+    together with the basis of the ones before, which keeps sweeps short."""
+    rows = [r for r in dict.fromkeys(map(tuple, rows)) if any(r)]
+    basis = []
+    for start in range(0, len(rows), size):
+        basis = oracle_hnf(basis + rows[start : start + size])
+    return basis
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_delta_powers(x, domain, k_max, variant):
+    """(bases of Delta^1..Delta^k_max, [(product rows, reduced basis)] of
+    Delta^2..Delta^k_max) by product-and-reduce."""
+    ring = quandle_ring(x, domain)
+    reduce = oracle_hnf_in_chunks if domain is ZZ else functools.partial(oracle_rref, domain=domain)
+    n = x.n
+    powers = [tuple(reduce([[-1] + [int(k == i) for k in range(1, n)] for i in range(1, n)]))]
     inputs = []
+    for k in range(2, k_max + 1):
+        splits = [(k - 1, 1)] if variant == lattices.VARIANT_LEFT else [(i, k - i) for i in range(1, k)]
+        rows = tuple(
+            tuple(multiply(ring, list(u), list(v)))
+            for i, j in splits
+            for u in powers[i - 1]
+            for v in powers[j - 1]
+        )
+        powers.append(tuple(reduce(rows)))
+        inputs.append((rows, powers[-1]))
+    return tuple(powers), tuple(inputs)
 
-    def recording_hnf(rows):
-        rows = [tuple(r) for r in rows]
-        inputs.append(rows)
-        return hermite_normal_form(rows)
 
-    monkeypatch.setattr(lattices, "hermite_normal_form", recording_hnf)
+VARIANTS = (lattices.VARIANT_ALL, lattices.VARIANT_LEFT)
+
+
+@pytest.mark.parametrize("domain, max_n", [(ZZ, 32), (QQ, 9), (GF(3), 9)], ids=["Z", "Q", "F_3"])
+def test_delta_powers_match_product_oracle(domain, max_n):
+    for q in delta_cases(max_n):
+        for variant in VARIANTS:
+            got = tuple(p.basis for p in delta_powers(q, domain, 4, variant))
+            assert got == oracle_delta_powers(q, domain, 4, variant)[0], (q.n, variant)
+
+
+def test_hnf_matches_sweep_oracle_on_delta_power_inputs():
+    """Every product-row matrix the product-and-reduce oracle reduces over
+    Z, both variants, for R_3..R_12 to Delta^4 and the filtration-z bases
+    to Delta^4."""
     quandles = [dihedral_quandle(n) for n in range(3, 13)] + filtration_bases()
     for q in quandles:
-        for variant in (lattices.VARIANT_ALL, lattices.VARIANT_LEFT):
-            delta_powers(q, ZZ, 4, variant)
-    # Delta^1..Delta^4 take one reduction each in both variants
-    assert len(inputs) == 8 * len(quandles)
-    for rows in inputs:
-        assert hermite_normal_form(rows) == oracle_hnf(rows)
+        for variant in VARIANTS:
+            for rows, want in oracle_delta_powers(q, ZZ, 4, variant)[1]:
+                assert tuple(hermite_normal_form(rows)) == want
 
 
 def test_table_invariance_matches_spinup_oracle():
