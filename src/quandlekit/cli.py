@@ -503,11 +503,11 @@ def cmd_iso(args):
 
 def cmd_decompose(args):
     if args.complex_dihedral is not None:
-        report = complex_decomposition_check(args.complex_dihedral, tol=args.tol)
+        report = complex_decomposition_check(args.complex_dihedral)
         payload = report.to_json()
-        lines = ["n=%d: total dim %d, ok=%s" % (report.n, report.total_dim, report.ok)]
+        lines = ["n=%d over F_%d: total dim %d, ok=%s" % (report.n, report.prime, report.total_dim, report.ok)]
         for s in report.summands:
-            lines.append("  %s dim %d residual %.2e" % (s.label, s.dim, s.residual))
+            lines.append("  %s dim %d invariant=%s simple=%s" % (s.label, s.dim, s.invariant, s.simple))
         _emit(args, payload, lines)
         return EXIT_OK
     if args.file is None:
@@ -669,7 +669,6 @@ def build_parser():
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--domain", default="F5")
     p.add_argument("--complex-dihedral", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decompose)
 

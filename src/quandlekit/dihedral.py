@@ -1,18 +1,20 @@
 """Closed-form products in the augmentation ideal of dihedral quandle
-rings, the Delta-filtration quotients for R_n, and a numeric check of the
-complex decomposition of C[R_n] into rotation-eigenvector planes.
+rings, the Delta-filtration quotients for R_n, and an exact certificate,
+over a prime field holding the needed roots of unity, of the complex
+decomposition of C[R_n] into rotation-eigenvector planes.
 
 Basis convention: e_i = a_i - a_0 for 1 <= i < n, with e_0 identically
 zero, so any index is reduced mod n and index 0 is dropped.
 """
 
+import itertools
 from dataclasses import dataclass
 
-from .domains import ZZ
+from .domains import GF, ZZ, _is_prime
 from .errors import PreconditionError, QuandleKitError
-from .lattices import VARIANT_ALL, delta_powers, quotient_shape
-from .quandles import dihedral_quandle, right_translation
-from .rings import multiply, quandle_ring
+from .lattices import VARIANT_ALL, _inner_moves, _spin, delta_powers, quotient_shape
+from .linalg import rref
+from .quandles import dihedral_quandle
 
 
 @dataclass(frozen=True)
@@ -79,23 +81,6 @@ def vector_to_e(n, v):
     if sum(v) != 0:
         raise QuandleKitError("vector is not in the augmentation ideal")
     return e_expr(n, [(i, v[i]) for i in range(1, n)])
-
-
-def e_product_generic(n, i, j):
-    """The same product computed through the generic structure constants,
-    used to cross-validate the closed form."""
-    ring = quandle_ring(dihedral_quandle(n), ZZ)
-    prod = multiply(ring, e_to_vector(e_expr(n, [(i, 1)])), e_to_vector(e_expr(n, [(j, 1)])))
-    return vector_to_e(n, prod)
-
-
-def e_basis_table(n):
-    """Full (n-1) x (n-1) product table; entry [i-1][j-1] is e_i * e_j."""
-    if n < 3:
-        raise PreconditionError("need n >= 3")
-    return tuple(
-        tuple(e_product(n, i, j) for j in range(1, n)) for i in range(1, n)
-    )
 
 
 def column_periodicity_holds(n):
@@ -252,105 +237,119 @@ def odd_relations_check(n):
 class ComplexSummand:
     label: str
     dim: int
-    residual: float
+    invariant: bool
+    simple: bool
 
 
 @dataclass(frozen=True)
 class ComplexDecompositionReport:
     n: int
+    prime: int
     summands: tuple
-    tol: float
-
-    @property
-    def total_dim(self):
-        return sum(s.dim for s in self.summands)
+    total_dim: int  # dimension of the sum of the summands
 
     @property
     def ok(self):
-        return self.total_dim == self.n and all(s.residual < self.tol for s in self.summands)
+        """The summands are simple right ideals whose dimensions add up to
+        n and whose sum is everything, so the sum is direct."""
+        dims = sum(s.dim for s in self.summands)
+        return self.total_dim == dims == self.n and all(s.invariant and s.simple for s in self.summands)
 
     def to_json(self):
         return {
             "n": self.n,
-            "tol": self.tol,
+            "prime": self.prime,
             "total_dim": self.total_dim,
             "ok": self.ok,
             "summands": [
-                {"label": s.label, "dim": s.dim, "residual": s.residual}
+                {"label": s.label, "dim": s.dim, "invariant": s.invariant, "simple": s.simple}
                 for s in self.summands
             ],
         }
 
 
-def complex_decomposition_check(n, tol=1e-9):
-    """Numeric decomposition of C[R_n] into right-translation-invariant
-    subspaces: one indicator line per orbit plus eigenvector planes of the
-    rotation subgroup (a sign line when the orbit size is even).
+def _eigenvalue(p, move, row):
+    """The c in F_p with row moved by move equal to c * row, or None."""
+    moved = [0] * len(row)
+    for v, k in zip(row, move):
+        moved[k] = v
+    i = next(i for i, v in enumerate(row) if v % p)
+    c = moved[i] * pow(row[i], -1, p) % p
+    return c if all((a - c * b) % p == 0 for a, b in zip(moved, row)) else None
 
-    Odd n has a single orbit of size n; even n = 2k splits into the even
-    and odd residues, each of size k, and each contributes its own set of
-    planes (so the plane types appear with multiplicity two).
+
+def _summand_check(domain, moves, rotation, rows):
+    """(dim, invariant, simple) for the span of the rows over F_p.
+
+    The span is invariant when spinning the rows up under the moves does
+    not grow it, and an invariant line is simple.  An invariant plane
+    spanned by two eigenvectors of the rotation with distinct eigenvalues
+    has no other rotation-stable line, so it is simple exactly when each
+    row alone spins up to all of it.  A plane the certificate does not
+    cover is a fault in the caller, not a verdict.
     """
-    import numpy as np
+    basis = tuple(rref(rows, domain))
+    invariant = _spin(domain, rows, moves)[0] == basis
+    if not invariant or len(basis) == 1:
+        return len(basis), invariant, invariant
+    if len(rows) == len(basis) == 2:
+        eigenvalues = {_eigenvalue(domain.char, rotation, row) for row in rows}
+        if None not in eigenvalues and len(eigenvalues) == 2:
+            return 2, True, all(_spin(domain, [row], moves)[0] == basis for row in rows)
+    raise RuntimeError("no eigenvector certificate for the plane %r" % (rows,))
 
+
+def _root_of_unity(m, p):
+    """An element of order m in F_p, for m dividing p - 1."""
+    for a in range(2, p):
+        xi = pow(a, (p - 1) // m, p)
+        if all(pow(xi, d, p) != 1 for d in range(1, m)):
+            return xi
+
+
+def complex_decomposition_check(n):
+    """Exact decomposition of C[R_n] into simple right ideals: one
+    indicator line per orbit plus eigenvector planes of the rotation
+    R_1 R_0 (a sign line when the orbit size is even).
+
+    Odd n has a single orbit of size m = n; even n = 2m splits into the
+    even and odd residues, each of size m, and each contributes its own
+    set of planes (so the plane types appear with multiplicity two).
+
+    The check runs over F_p for the least prime p = 1 mod lcm(m, 2), with
+    an element xi of order m in place of exp(2 pi i / m).  Such a p does
+    not divide |Inn(R_n)| = 2m, and F_p holds the m-th roots of unity, so
+    reduction mod p keeps the simple summands and their dimensions
+    (Brauer; Serre, Linear Representations of Finite Groups, Part III).
+    """
     if n < 3:
         raise PreconditionError("need n >= 3")
-    if tol <= 0:
-        raise PreconditionError("tolerance must be positive")
     x = dihedral_quandle(n)
-    translations = [right_translation(x, j) for j in range(n)]
+    orbit_list = [list(range(n))] if n % 2 else [list(range(0, n, 2)), list(range(1, n, 2))]
+    m = len(orbit_list[0])
+    step = m if m % 2 == 0 else 2 * m  # lcm(m, 2)
+    p = next(q for q in itertools.count(step + 1, step) if _is_prime(q))
+    domain, xi = GF(p), _root_of_unity(m, p)
+    moves = _inner_moves(x)
+    rotation = [x.table[x.table[i][0]][1] for i in range(n)]
 
-    if n % 2 == 1:
-        orbit_list = [list(range(n))]
-    else:
-        orbit_list = [list(range(0, n, 2)), list(range(1, n, 2))]
+    def row_on(orb, value):
+        row = [0] * n
+        for t, v in enumerate(orb):
+            row[v] = value(t)
+        return row
 
-    def residual_of(span_rows):
-        # max over generators of the least-squares defect of the permuted
-        # rows against the original span
-        a = np.array(span_rows, dtype=complex).T  # n x d
-        worst = 0.0
-        for g in translations:
-            moved = np.zeros_like(a)
-            for col in range(a.shape[1]):
-                for i in range(n):
-                    moved[g[i], col] = a[i, col]
-            coeffs = np.linalg.lstsq(a, moved, rcond=None)[0]
-            defect = a @ coeffs - moved
-            worst = max(worst, float(np.abs(defect).max()))
-        return worst
-
-    summands = []
+    summands, rows = [], []
     for which, orb in enumerate(orbit_list):
-        m = len(orb)
         tag = "" if len(orbit_list) == 1 else (".even" if which == 0 else ".odd")
-        indicator = [0.0] * n
-        for v in orb:
-            indicator[v] = 1.0
-        summands.append(
-            ComplexSummand(
-                label="triv" + tag, dim=1, residual=residual_of([indicator])
-            )
-        )
-        xi = np.exp(2j * np.pi / m)
+        parts = [("triv" + tag, [row_on(orb, lambda t: 1)])]
         for j in range(1, m // 2 + 1):
             if 2 * j == m:
-                row = [0.0] * n
-                for t, v in enumerate(orb):
-                    row[v] = (-1.0) ** t
-                summands.append(
-                    ComplexSummand(label="sign" + tag, dim=1, residual=residual_of([row]))
-                )
+                parts.append(("sign" + tag, [row_on(orb, lambda t: (-1) ** t % p)]))
             else:
-                rows = []
-                for e in (j, m - j):
-                    row = [0.0 + 0.0j] * n
-                    for t, v in enumerate(orb):
-                        row[v] = xi ** (e * t)
-                    rows.append(row)
-                summands.append(
-                    ComplexSummand(
-                        label="plane%d%s" % (j, tag), dim=2, residual=residual_of(rows)
-                    )
-                )
-    return ComplexDecompositionReport(n=n, summands=tuple(summands), tol=tol)
+                plane = [row_on(orb, lambda t, e=e: pow(xi, e * t, p)) for e in (j, m - j)]
+                parts.append(("plane%d%s" % (j, tag), plane))
+        for label, part in parts:
+            summands.append(ComplexSummand(label, *_summand_check(domain, moves, rotation, part)))
+            rows += part
+    return ComplexDecompositionReport(n=n, prime=p, summands=tuple(summands), total_dim=len(rref(rows, domain)))

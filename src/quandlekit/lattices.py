@@ -66,12 +66,6 @@ def span(ambient_dim, domain, rows):
     return Submodule(ambient_dim=ambient_dim, domain=domain, basis=tuple(basis))
 
 
-def submodule_sum(a, b):
-    if a.ambient_dim != b.ambient_dim or a.domain is not b.domain:
-        raise DomainMismatchError("submodule sum needs matching ambient space")
-    return span(a.ambient_dim, a.domain, a.basis + b.basis)
-
-
 def submodule_leq(a, b):
     """a contained in b."""
     return all(b.contains(v) for v in a.basis)
@@ -117,6 +111,14 @@ def _spin(domain, seeds, moves):
     return tuple(form.rows()), grown
 
 
+def _inner_moves(x):
+    """The distinct non-identity columns R_a, a in a generating set of x:
+    their R_a generate Inn(X), so a subspace closed under these moves is
+    closed under every R_j."""
+    columns = (tuple(row[a] for row in x.table) for a in generating_set(x))
+    return [m for m in dict.fromkeys(columns) if m != tuple(range(x.n))]
+
+
 def delta_powers(x, domain, k_max, variant=VARIANT_ALL):
     """[Delta^1, ..., Delta^k_max] for the quandle ring of x.
 
@@ -131,8 +133,7 @@ def delta_powers(x, domain, k_max, variant=VARIANT_ALL):
     if variant not in (VARIANT_ALL, VARIANT_LEFT):
         raise PreconditionError("unknown variant %r" % variant)
     ring = quandle_ring(x, domain)
-    columns = (tuple(row[a] for row in x.table) for a in generating_set(x))
-    moves = [m for m in dict.fromkeys(columns) if m != tuple(range(x.n))]
+    moves = _inner_moves(x)
     factors = [_spin(domain, augmentation_ideal(x, domain).basis, moves)]  # (basis, grown seeds)
 
     def products(i, j):
@@ -248,8 +249,10 @@ class OrbitSummandReport:
     orbit: tuple
     dim_triv: int
     dim_st: int
-    invariant: bool
     simple: object  # True / False / "unknown"
+    # each R_j maps every orbit onto itself, so both summands of an orbit
+    # are always right ideals
+    invariant = True
 
     def to_json(self):
         return {
@@ -264,70 +267,53 @@ class OrbitSummandReport:
 @dataclass(frozen=True)
 class DecompositionReport:
     entries: tuple
-    verdict: str  # "verified" / "failed" / "not-simple" / "inconclusive"
+    verdict: str  # "verified" / "not-simple" / "inconclusive"
 
     def to_json(self):
         return {"verdict": self.verdict, "orbits": [e.to_json() for e in self.entries]}
 
 
-def _is_right_invariant(x, orb):
-    """v * e_j moves coordinate i to i > j, so both summands on the orbit
-    are right ideals exactly when every R_j maps the orbit into itself."""
-    inside = set(orb)
-    return all(x.table[i][j] in inside for i in orb for j in range(x.n))
-
-
-def _simple_by_spinup(ring, sub, p):
-    """Over a prime field: every nonzero vector must regenerate the whole
-    summand as a right ideal.  A vector and its nonzero multiples generate
-    the same ideal, so only the combinations of the basis rows whose first
-    nonzero coefficient is 1 are spun up."""
+def _simple_by_spinup(domain, moves, sub, p):
+    """Over a prime field: every nonzero vector must spin up to the whole
+    summand under the moves.  A vector and its nonzero multiples spin up
+    to the same subspace, so only the combinations of the basis rows whose
+    first nonzero coefficient is 1 are tried."""
     for coeffs in itertools.product(range(p), repeat=sub.rank):
         if next((c for c in coeffs if c), 0) != 1:
             continue
-        v = [sum(c * row[i] for c, row in zip(coeffs, sub.basis)) for i in range(ring.dim)]
-        if generated_right_ideal(ring, [v]).basis != sub.basis:
+        v = [sum(c * row[i] for c, row in zip(coeffs, sub.basis)) for i in range(sub.ambient_dim)]
+        if _spin(domain, [v], moves)[0] != sub.basis:
             return False
     return True
 
 
 def verify_simple_decomposition(x, domain):
-    """Check the per-orbit indicator/augmentation-zero splitting of the
-    quandle ring into right ideals, certifying simplicity where possible.
+    """Split the quandle ring per orbit into the indicator line and the
+    augmentation-zero subspace on the orbit, and certify simplicity where
+    possible.
 
-    The 1-dimensional indicator summand is simple whenever it is
-    invariant.  Over a prime field simplicity of the augmentation-zero
-    summand is decided by exhaustive spin-up from its nonzero vectors.  Over characteristic zero the rank-2 criterion
-    for the restricted orbit action decides the positive case; anything
-    else is reported as unknown.
+    Both summands are right ideals, and the indicator line is simple.
+    Over a prime field the augmentation-zero summand is simple when every
+    nonzero vector spins up to all of it under Inn(X).  Over characteristic
+    zero the rank-2 criterion for the restricted orbit action decides the
+    positive case; anything else is reported as unknown.
     """
-    ring = quandle_ring(x, domain)
     char = domain.char
+    moves = _inner_moves(x)
     translations = [right_translation(x, j) for j in range(x.n)]
     entries = []
     for orb, v_triv, v_st in orbit_summands(x, domain):
-        invariant = _is_right_invariant(x, orb)
-        if not invariant:
-            simple = False
-        elif len(orb) == 1:
+        if len(orb) == 1:
             simple = True  # nothing beyond the trivial summand
         elif char:
-            simple = _simple_by_spinup(ring, v_st, char)
+            simple = _simple_by_spinup(domain, moves, v_st, char)
         else:
             gens = restricted_action(translations, orb)
             simple = True if pair_components(gens, len(orb)) == 1 else "unknown"
         entries.append(
-            OrbitSummandReport(
-                orbit=tuple(orb),
-                dim_triv=v_triv.rank,
-                dim_st=v_st.rank,
-                invariant=invariant,
-                simple=simple,
-            )
+            OrbitSummandReport(orbit=tuple(orb), dim_triv=v_triv.rank, dim_st=v_st.rank, simple=simple)
         )
-    if any(not e.invariant for e in entries):
-        verdict = "failed"
-    elif all(e.simple is True for e in entries):
+    if all(e.simple is True for e in entries):
         verdict = "verified"
     elif any(e.simple is False for e in entries):
         verdict = "not-simple"

@@ -263,11 +263,3 @@ def rref(rows, domain):
 
 def field_rank(rows, domain):
     return len(rref(rows, domain))
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [
-        tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
-        for i in range(rows)
-    ]

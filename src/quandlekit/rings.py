@@ -92,11 +92,6 @@ def _albert_identities(ring, u):
     yield "fourth", multiply(ring, uu, uu), multiply(ring, uu_u, u)
 
 
-def albert_check(ring, u):
-    """(cube holds, fourth holds) for u, as in _albert_identities."""
-    return tuple(lhs == rhs for _, lhs, rhs in _albert_identities(ring, u))
-
-
 @dataclass(frozen=True)
 class PowerAssocWitness:
     element: tuple

@@ -11,7 +11,8 @@ import time
 from math import gcd
 
 from conftest import ACCEPTANCE_LINES
-from test_linalg import fraction_rank, minors_gcd_factors, reduce_mod_hnf
+from test_dihedral import e_product_generic
+from test_linalg import fraction_rank, mat_mul, minors_gcd_factors, reduce_mod_hnf
 
 from quandlekit import cli
 from quandlekit.counterexamples import (
@@ -28,12 +29,11 @@ from quandlekit.dihedral import (
     complex_decomposition_check,
     delta_series_shapes,
     e_product,
-    e_product_generic,
     verify_product_formulas,
 )
 from quandlekit.domains import GF, QQ
 from quandlekit.lattices import AbelianGroupShape, verify_simple_decomposition
-from quandlekit.linalg import det, hermite_normal_form, mat_mul, smith_normal_form
+from quandlekit.linalg import det, hermite_normal_form, smith_normal_form
 from quandlekit.quandles import orbits, trivial_quandle
 from quandlekit.rings import (
     direct_sum,
@@ -267,16 +267,17 @@ def test_criterion_12_decomposition():
             report = verify_simple_decomposition(q, GF(5))
             ok = ok and report.verdict == "verified"
             certified += 1
-    residuals = {}
-    for n in (3, 5, 6, 8):
-        report = complex_decomposition_check(n, tol=1e-9)
-        ok = ok and report.ok
-        residuals[n] = max(s.residual for s in report.summands)
+    primes = set()
+    for n in range(3, 17):
+        report = complex_decomposition_check(n)
+        ok = ok and report.ok and all(s.invariant and s.simple for s in report.summands)
+        primes.add(report.prime)
     elapsed = time.monotonic() - start
     record(
         12,
         ok,
-        "%d quandles certified over F_5; complex residual max %.1e" % (certified, max(residuals.values())),
+        "%d quandles certified over F_5; C[R_n] for n = 3..16 certified over F_p, p in %s"
+        % (certified, sorted(primes)),
         elapsed,
     )
 

@@ -18,9 +18,7 @@ The oracles are the earlier implementations, kept here for small inputs:
 - ``oracle_delta_powers``: each Delta^k as one reduction (``oracle_hnf``
   over Z, ``oracle_rref`` over a field) of the products of all pairs of
   basis rows over its bracketings, the method ``delta_powers`` used before
-  it spun up each power under Inn(X);
-- ``oracle_is_right_invariant``: invariance of a summand as "its
-  generated right ideal is itself", by spin-up.
+  it spun up each power under Inn(X).
 """
 
 import functools
@@ -37,7 +35,6 @@ from test_pair_kernel import cayley_table, dihedral_group, relabel
 from quandlekit import lattices
 from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.lattices import (
-    _is_right_invariant,
     delta_powers,
     generated_left_ideal,
     generated_right_ideal,
@@ -193,10 +190,6 @@ def oracle_generated_ideal(ring, generators, side):
         if nxt == current:
             return current
         current = nxt
-
-
-def oracle_is_right_invariant(ring, basis):
-    return oracle_generated_ideal(ring, basis, "right") == basis
 
 
 def oracle_verify_simple_decomposition(x, domain):
@@ -444,22 +437,3 @@ def test_hnf_matches_sweep_oracle_on_delta_power_inputs():
         for variant in VARIANTS:
             for rows, want in oracle_delta_powers(q, ZZ, 4, variant)[1]:
                 assert tuple(hermite_normal_form(rows)) == want
-
-
-def test_table_invariance_matches_spinup_oracle():
-    """On every subset S of every quandle of order <= 4, and on the orbits
-    of order 5, the table check agrees with spinning up the indicator of S
-    and the differences e_v - e_s0 on S, over every domain."""
-    for q in SMALL_QUANDLES:
-        subsets = list(orbits(q))
-        if q.n <= 4:
-            subsets += [list(c) for k in range(1, q.n + 1) for c in itertools.combinations(range(q.n), k)]
-        for domain in DOMAINS:
-            ring = quandle_ring(q, domain)
-            for sub in subsets:
-                triv = span(q.n, domain, [[int(k in sub) for k in range(q.n)]])
-                st_rows = [[int(k == v) - int(k == sub[0]) for k in range(q.n)] for v in sub[1:]]
-                want = oracle_is_right_invariant(ring, triv.basis) and oracle_is_right_invariant(
-                    ring, span(q.n, domain, st_rows).basis
-                )
-                assert _is_right_invariant(q, sub) == want

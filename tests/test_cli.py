@@ -1,4 +1,6 @@
+import builtins
 import json
+import sys
 
 import pytest
 
@@ -352,6 +354,31 @@ def test_decompose_complex_mode(capsys):
     doc = json.loads(stdout)
     assert doc["outputs"]["ok"] is True
     assert doc["outputs"]["total_dim"] == 6
+
+
+def test_decompose_complex_mode_needs_only_the_standard_library(monkeypatch, capsys):
+    real_import = builtins.__import__
+
+    def stdlib_only(name, globals=None, locals=None, fromlist=(), level=0):
+        top = name.partition(".")[0]
+        if level == 0 and top != "quandlekit" and top not in sys.stdlib_module_names:
+            raise ImportError("third-party import of %r" % name)
+        return real_import(name, globals, locals, fromlist, level)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "__import__", stdlib_only)
+        code, stdout, _ = run(capsys, "decompose", "--complex-dihedral", "8", "--json")
+    assert code == 0
+    doc = json.loads(stdout)["outputs"]
+    assert doc["ok"] is True and doc["prime"] == 5
+    assert all(s["invariant"] and s["simple"] for s in doc["summands"])
+
+
+def test_decompose_has_no_tolerance_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--complex-dihedral", "6", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_decompose_without_input_is_bad_parameters(capsys):

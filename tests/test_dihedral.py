@@ -4,22 +4,39 @@ from hypothesis import strategies as st
 
 from quandlekit.dihedral import (
     ComplexDecompositionReport,
+    ComplexSummand,
     EBasisExpr,
-    e_basis_table,
+    _summand_check,
     column_periodicity_holds,
     complex_decomposition_check,
     delta_series_shapes,
     e_expr,
     e_product,
-    e_product_generic,
     e_to_vector,
     odd_relations_check,
     star_relations_check,
     vector_to_e,
     verify_product_formulas,
 )
+from quandlekit.domains import GF, ZZ
 from quandlekit.errors import PreconditionError, QuandleKitError
-from quandlekit.lattices import AbelianGroupShape, VARIANT_LEFT
+from quandlekit.lattices import AbelianGroupShape, VARIANT_LEFT, _inner_moves
+from quandlekit.quandles import dihedral_quandle
+from quandlekit.rings import multiply, quandle_ring
+
+
+def e_product_generic(n, i, j):
+    """e_i * e_j through the generic structure constants, the oracle for
+    the closed form."""
+    ring = quandle_ring(dihedral_quandle(n), ZZ)
+    prod = multiply(ring, e_to_vector(e_expr(n, [(i, 1)])), e_to_vector(e_expr(n, [(j, 1)])))
+    return vector_to_e(n, prod)
+
+
+def e_basis_table(n):
+    """Full (n-1) x (n-1) product table; entry [i-1][j-1] is e_i * e_j."""
+    return tuple(tuple(e_product(n, i, j) for j in range(1, n)) for i in range(1, n))
+
 
 REFERENCE_CELLS_N8 = {
     (1, 2): ((3, 1), (4, -1), (7, -1)),
@@ -197,33 +214,93 @@ def test_odd_relations():
         odd_relations_check(6)
 
 
+def expected_summands(n):
+    """(label, dim) of the rotation-eigenvector decomposition of C[R_n]:
+    per orbit of size m, the trivial line, a plane for each pair of
+    conjugate characters and, for even m, a sign line."""
+    m, tags = (n, [""]) if n % 2 else (n // 2, [".even", ".odd"])
+    out = []
+    for tag in tags:
+        out.append(("triv" + tag, 1))
+        for j in range(1, m // 2 + 1):
+            out.append(("sign" + tag, 1) if 2 * j == m else ("plane%d%s" % (j, tag), 2))
+    return out
+
+
+def is_prime(p):
+    return p > 1 and all(p % d for d in range(2, p))
+
+
 def test_complex_decomposition_odd():
     report = complex_decomposition_check(5)
-    assert report.ok
+    assert report.ok and report.prime == 11
     assert report.total_dim == 5
     assert [s.dim for s in report.summands] == [1, 2, 2]
 
 
 def test_complex_decomposition_n3_single_plane():
     report = complex_decomposition_check(3)
-    assert report.ok
-    assert [s.dim for s in report.summands] == [1, 2]
+    assert report.ok and report.prime == 7
+    assert [(s.label, s.dim) for s in report.summands] == [("triv", 1), ("plane1", 2)]
 
 
 def test_complex_decomposition_even():
     report = complex_decomposition_check(8)
-    assert report.ok
+    assert report.ok and report.prime == 5
     # two orbits, each 1 + 2 + 1
-    labels = [s.label for s in report.summands]
-    assert labels.count("triv.even") == 1 and labels.count("triv.odd") == 1
+    assert [s.label for s in report.summands] == [
+        "triv.even", "plane1.even", "sign.even", "triv.odd", "plane1.odd", "sign.odd",
+    ]
     assert sum(s.dim for s in report.summands) == 8
 
 
-def test_complex_decomposition_tolerance_guard():
+def test_complex_decomposition_exact_up_to_64():
+    for n in range(3, 65):
+        doc = complex_decomposition_check(n).to_json()
+        assert doc["ok"] is True and doc["total_dim"] == n, n
+        want = [{"label": label, "dim": dim, "invariant": True, "simple": True} for label, dim in expected_summands(n)]
+        assert doc["summands"] == want, n
+        m = n if n % 2 else n // 2
+        step = m if m % 2 == 0 else 2 * m  # lcm(m, 2)
+        assert doc["prime"] == next(p for p in range(step + 1, 10**4, step) if is_prime(p)), n
+
+
+def test_complex_decomposition_needs_the_summands_to_span():
+    # two simple summands of the right dimensions whose sum is only 2-dimensional
+    summands = (ComplexSummand("triv", 1, True, True), ComplexSummand("plane1", 2, True, True))
+    assert not ComplexDecompositionReport(n=3, prime=7, summands=summands, total_dim=2).ok
+    assert ComplexDecompositionReport(n=3, prime=7, summands=summands, total_dim=3).ok
+
+
+def test_complex_decomposition_rejects_small_n():
     with pytest.raises(PreconditionError):
-        complex_decomposition_check(5, tol=0)
-    tight = complex_decomposition_check(6, tol=1e-30)
-    assert not tight.ok  # float residuals cannot be exactly zero everywhere
+        complex_decomposition_check(2)
+
+
+def test_summand_check_on_one_orbit_of_r8():
+    """Over F_5, 2 has order 4; on the even orbit of R_8 the trivial and
+    sign lines together are invariant but not simple, and a plane row
+    added to the trivial line is not invariant."""
+    x = dihedral_quandle(8)
+    moves = _inner_moves(x)
+    rotation = [x.table[x.table[i][0]][1] for i in range(8)]
+    orbit = (0, 2, 4, 6)
+
+    def row(value):
+        out = [0] * 8
+        for t, v in enumerate(orbit):
+            out[v] = value(t) % 5
+        return out
+
+    triv, sign, plane_row = row(lambda t: 1), row(lambda t: (-1) ** t), row(lambda t: 2**t)
+    assert _summand_check(GF(5), moves, rotation, [triv]) == (1, True, True)
+    assert _summand_check(GF(5), moves, rotation, [triv, sign]) == (2, True, False)
+    assert _summand_check(GF(5), moves, rotation, [plane_row, row(lambda t: 3**t)]) == (2, True, True)
+    assert _summand_check(GF(5), moves, rotation, [triv, plane_row]) == (2, False, False)
+    # the two trivial lines share the rotation eigenvalue 1: no certificate
+    odd_triv = [int(v % 2 == 1) for v in range(8)]
+    with pytest.raises(RuntimeError):
+        _summand_check(GF(5), moves, rotation, [triv, odd_triv])
 
 
 @settings(max_examples=50, deadline=None)

@@ -20,7 +20,6 @@ from quandlekit.lattices import (
     span,
     submodule_leq,
     submodule_product,
-    submodule_sum,
     verify_simple_decomposition,
 )
 from quandlekit.quandles import (
@@ -31,6 +30,10 @@ from quandlekit.quandles import (
 )
 from quandlekit.rings import multiply, quandle_ring
 from quandlekit.symmetry import enumerate_quandles, inner_group, is_right_orbit_2transitive
+
+
+def submodule_sum(a, b):
+    return span(a.ambient_dim, a.domain, a.basis + b.basis)
 
 
 def test_augmentation_ideal_rank():

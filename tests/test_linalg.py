@@ -16,7 +16,6 @@ from quandlekit.linalg import (
     hermite_normal_form,
     hnf_coordinates,
     lattice_contains,
-    mat_mul,
     rref,
     smith_normal_form,
 )
@@ -28,6 +27,14 @@ small_matrix = st.integers(min_value=1, max_value=4).flatmap(
         max_size=4,
     )
 )
+
+
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    return [
+        tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
+        for i in range(rows)
+    ]
 
 
 def fraction_rank(matrix):
