@@ -8,6 +8,7 @@ document; the "outputs" section is deterministic for fixed inputs.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -67,7 +68,6 @@ from .rings import (
 )
 from .symmetry import (
     DEFAULT_ENUM_BOUND,
-    canonical_form,
     enumerate_quandles,
     inner_group,
     is_left_2transitive,
@@ -613,7 +613,11 @@ def cmd_verify(args):
     return EXIT_OK if failures == 0 else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: a parser is a web of
+    reference cycles, so one per `main` call would wait for the cyclic
+    garbage collector."""
     parser = argparse.ArgumentParser(prog="quandlekit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

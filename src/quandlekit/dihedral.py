@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .domains import GF, ZZ, _is_prime
 from .errors import PreconditionError, QuandleKitError
-from .lattices import VARIANT_ALL, _inner_moves, _spin, delta_powers, quotient_shape
+from .lattices import VARIANT_ALL, _spin, delta_powers, quotient_shape
 from .linalg import rref
-from .quandles import dihedral_quandle
+from .quandles import dihedral_quandle, inner_moves
 
 
 @dataclass(frozen=True)
@@ -330,7 +330,7 @@ def complex_decomposition_check(n):
     step = m if m % 2 == 0 else 2 * m  # lcm(m, 2)
     p = next(q for q in itertools.count(step + 1, step) if _is_prime(q))
     domain, xi = GF(p), _root_of_unity(m, p)
-    moves = _inner_moves(x)
+    moves = inner_moves(x)
     rotation = [x.table[x.table[i][0]][1] for i in range(n)]
 
     def row_on(orb, value):

@@ -32,9 +32,9 @@ from .linalg import (
     rref,
     smith_normal_form,
 )
-from .quandles import generating_set, orbits, right_translation
+from .quandles import inner_moves, orbits
 from .rings import multiply, quandle_ring
-from .symmetry import pair_components, restricted_action
+from .symmetry import reaches_every_pair, restricted_action
 
 VARIANT_ALL = "all-bracketings"
 VARIANT_LEFT = "left-normed"
@@ -111,14 +111,6 @@ def _spin(domain, seeds, moves):
     return tuple(form.rows()), grown
 
 
-def _inner_moves(x):
-    """The distinct non-identity columns R_a, a in a generating set of x:
-    their R_a generate Inn(X), so a subspace closed under these moves is
-    closed under every R_j."""
-    columns = (tuple(row[a] for row in x.table) for a in generating_set(x))
-    return [m for m in dict.fromkeys(columns) if m != tuple(range(x.n))]
-
-
 def delta_powers(x, domain, k_max, variant=VARIANT_ALL):
     """[Delta^1, ..., Delta^k_max] for the quandle ring of x.
 
@@ -133,7 +125,7 @@ def delta_powers(x, domain, k_max, variant=VARIANT_ALL):
     if variant not in (VARIANT_ALL, VARIANT_LEFT):
         raise PreconditionError("unknown variant %r" % variant)
     ring = quandle_ring(x, domain)
-    moves = _inner_moves(x)
+    moves = inner_moves(x)
     factors = [_spin(domain, augmentation_ideal(x, domain).basis, moves)]  # (basis, grown seeds)
 
     def products(i, j):
@@ -238,12 +230,6 @@ def orbit_summands(x, domain):
     return out
 
 
-def permutation_rank(group, m):
-    """Number of orbits on ordered pairs of distinct points, plus one for
-    the diagonal; equals 2 exactly for a 2-transitive group action."""
-    return pair_components(group.generators, m) + 1
-
-
 @dataclass(frozen=True)
 class OrbitSummandReport:
     orbit: tuple
@@ -295,12 +281,11 @@ def verify_simple_decomposition(x, domain):
     Both summands are right ideals, and the indicator line is simple.
     Over a prime field the augmentation-zero summand is simple when every
     nonzero vector spins up to all of it under Inn(X).  Over characteristic
-    zero the rank-2 criterion for the restricted orbit action decides the
-    positive case; anything else is reported as unknown.
+    zero a 2-transitive restricted orbit action decides the positive case;
+    anything else is reported as unknown.
     """
     char = domain.char
-    moves = _inner_moves(x)
-    translations = [right_translation(x, j) for j in range(x.n)]
+    moves = inner_moves(x)
     entries = []
     for orb, v_triv, v_st in orbit_summands(x, domain):
         if len(orb) == 1:
@@ -308,8 +293,7 @@ def verify_simple_decomposition(x, domain):
         elif char:
             simple = _simple_by_spinup(domain, moves, v_st, char)
         else:
-            gens = restricted_action(translations, orb)
-            simple = True if pair_components(gens, len(orb)) == 1 else "unknown"
+            simple = True if reaches_every_pair(restricted_action(moves, orb), len(orb)) else "unknown"
         entries.append(
             OrbitSummandReport(orbit=tuple(orb), dim_triv=v_triv.rank, dim_st=v_st.rank, simple=simple)
         )

@@ -125,19 +125,11 @@ def power_assoc_witness(x, domain, box=DEFAULT_WITNESS_BOX):
 
 
 def right_annihilator_count(x, p):
-    """|{v in F_p^n : u*v = 0 for all u}| via the stacked left-multiplication
-    constraints e_i * v = 0."""
-    n = x.n
-    # constraint rows: for each i and output coordinate k,
-    # sum_j [i>j == k] v_j = 0
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            row = [int(x.table[i][j] == k) for j in range(n)]
-            if any(row):
-                rows.append(row)
-    rank = field_rank(rows, GF(p))
-    return p ** (n - rank)
+    """|{v in F_p^n : u*v = 0 for all u}|, the size of the kernel of the
+    stacked left-multiplication matrices of the basis elements e_i."""
+    ring = quandle_ring(x, GF(p))
+    rows = [row for i in range(x.n) for row in _multiplication_matrix(ring, ring.basis_vector(i), "left", p)]
+    return p ** (x.n - field_rank(rows, ring.domain))
 
 
 def is_ring_homomorphism(r1, r2, matrix):

@@ -12,11 +12,11 @@ from functools import lru_cache
 from .errors import CapacityError, NotInvariantError, PreconditionError, QuandleKitError
 from .quandles import (
     Quandle,
+    inner_moves,
     left_translation,
     orbits,
     partition_type,
     right_translation,
-    validate_table,
 )
 
 DEFAULT_CLOSURE_CAP = 10**7
@@ -110,84 +110,60 @@ def restricted_action(elements, subset):
     return out
 
 
-def pair_components(gens, m):
-    """Number of strongly connected components of the pair digraph of gens.
+def reaches_every_pair(gens, m):
+    """True when the maps in gens act 2-transitively on [0, m).
 
-    The nodes are the m(m-1) ordered pairs (a, b) of distinct points of
-    [0,m); each map g gives an edge (a, b) -> (g[a], g[b]) when
-    g[a] != g[b].  For a group this is the number of orbits on distinct
-    pairs.  For any semigroup the action is 2-transitive exactly when the
-    count is at most 1: with one component every pair reaches every pair,
-    itself included, in at least one step, and a pair that collapses to
-    (a, a) never becomes distinct again.  Kosaraju's algorithm, two linear
-    passes over O(m^2 |gens|) edges.
+    The pair digraph has the ordered pairs (a, b) of distinct points as
+    nodes and an edge (a, b) -> (g[a], g[b]) for each map g with
+    g[a] != g[b].  The answer is whether (0, 1) reaches every pair and
+    every pair reaches (0, 1): one search follows images, the other goes
+    back through the fibres of each map.  A pair that collapses to (a, a)
+    never becomes distinct again, so this is strong connectivity, and it
+    decides groups and semigroups alike.  Visited pairs are flagged at
+    a * m + b in one flat bytearray, lighter than a set of tuples.  True
+    when m < 2.
     """
-    nodes = [a * m + b for a in range(m) for b in range(m) if a != b]
-    succ = [[] for _ in range(m * m)]
-    pred = [[] for _ in range(m * m)]
-    for v in nodes:
-        a, b = divmod(v, m)
-        for g in gens:
-            if g[a] != g[b]:
-                w = g[a] * m + g[b]
-                succ[v].append(w)
-                pred[w].append(v)
-    # pass 1: nodes in increasing order of DFS finishing time
-    finished = []
-    seen = set()
-    for root in nodes:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [(root, iter(succ[root]))]
+    if m < 2:
+        return True
+
+    def spread(neighbours):
+        seen = bytearray(m * m)
+        seen[1] = 1
+        stack = [(0, 1)]
+        count = 1
         while stack:
-            v, edges = stack[-1]
-            for w in edges:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, iter(succ[w])))
-                    break
-            else:
-                stack.pop()
-                finished.append(v)
-    # pass 2: a search of the reversed graph from the latest unvisited
-    # finisher sweeps out exactly one component
-    count = 0
-    seen = set()
-    for root in reversed(finished):
-        if root in seen:
-            continue
-        count += 1
-        seen.add(root)
-        stack = [root]
-        while stack:
-            for w in pred[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return count
+            for c, d in neighbours(*stack.pop()):
+                if not seen[c * m + d]:
+                    seen[c * m + d] = 1
+                    count += 1
+                    stack.append((c, d))
+        return count == m * (m - 1)
+
+    if not spread(lambda a, b: [(g[a], g[b]) for g in gens if g[a] != g[b]]):
+        return False
+    fibres = [[[a for a in range(m) if g[a] == c] for c in range(m)] for g in gens]
+    return spread(lambda c, d: [(a, b) for fibre in fibres for a in fibre[c] for b in fibre[d]])
 
 
 def is_right_2transitive(x):
     """Inn(X) 2-transitive on X (distinct ordered pairs)."""
-    return pair_components([right_translation(x, j) for j in range(x.n)], x.n) <= 1
+    return reaches_every_pair(inner_moves(x), x.n)
 
 
 def is_left_2transitive(x):
     """H_X 2-transitive on X (distinct ordered pairs)."""
-    return pair_components([left_translation(x, i) for i in range(x.n)], x.n) <= 1
+    return reaches_every_pair([left_translation(x, i) for i in range(x.n)], x.n)
 
 
 def is_right_orbit_2transitive(x):
     """Every restricted G_{X_i} 2-transitive on its orbit.
 
-    G_{X_i} is generated by the restrictions of ALL right translations
-    R_y (y in X) to the orbit X_i; singleton orbits are vacuous.
+    G_{X_i} is the image of Inn(X) in the permutations of the orbit X_i,
+    generated by the restrictions of the `inner_moves` of x; singleton
+    orbits are vacuous.
     """
-    all_gens = [right_translation(x, j) for j in range(x.n)]
-    return all(
-        pair_components(restricted_action(all_gens, orb), len(orb)) <= 1 for orb in orbits(x)
-    )
+    moves = inner_moves(x)
+    return all(reaches_every_pair(restricted_action(moves, orb), len(orb)) for orb in orbits(x))
 
 
 def is_left_peak_2transitive(x):
@@ -359,9 +335,9 @@ def _find_isomorphism(x, y, inv_x, inv_y):
             used[w] = False
         return False
 
-    if backtrack(0):
-        return tuple(sigma)
-    return None
+    found = backtrack(0)
+    del backtrack  # it refers to itself: unlink it so the search state is freed now
+    return tuple(sigma) if found else None
 
 
 def canonical_form(x):
@@ -529,5 +505,6 @@ def _enumerate(n):
                 cols[j] = invs[j] = None
 
     search()
+    del search  # it refers to itself: unlink it so the search state is freed now
     found = sorted(canonical_form(q) for reps in buckets.values() for q, _ in reps)
     return tuple(Quandle(n, tbl) for tbl in found)

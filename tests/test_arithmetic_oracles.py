@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_multiply_oracle import DOMAINS, SMALL_QUANDLES, coefficients, ring_and_oracle
-from test_pair_kernel import cayley_table, dihedral_group, relabel
+from test_pair_kernel import cayley_table, dihedral_group, oracle_pair_orbit_count, relabel
 
 from quandlekit import lattices
 from quandlekit.domains import GF, QQ, ZZ
@@ -51,7 +51,7 @@ from quandlekit.quandles import (
     right_translation,
 )
 from quandlekit.rings import multiply, quandle_ring
-from quandlekit.symmetry import pair_components, restricted_action
+from quandlekit.symmetry import restricted_action
 
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]
 
@@ -240,7 +240,7 @@ def oracle_verify_simple_decomposition(x, domain):
             simple = simple_by_spinup(v_triv) and simple_by_spinup(v_st)
         else:
             gens = restricted_action(translations, orb)
-            simple = True if pair_components(gens, len(orb)) == 1 else "unknown"
+            simple = True if oracle_pair_orbit_count(gens, len(orb)) == 1 else "unknown"
         entries.append((tuple(orb), len(v_triv), len(v_st), inv, simple))
     if any(not e[3] for e in entries):
         verdict = "failed"

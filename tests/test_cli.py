@@ -1,4 +1,5 @@
 import builtins
+import gc
 import json
 import sys
 
@@ -386,6 +387,19 @@ def test_decompose_without_input_is_bad_parameters(capsys):
     assert code == 2
     assert stdout == ""
     assert "table file" in err and "--complex-dihedral" in err
+
+
+def test_main_calls_leave_no_reference_cycles(capsys):
+    # one parser serves every call, so a call leaves no parser behind for
+    # the cyclic collector
+    run(capsys, "make", "dihedral", "3")
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(capsys, "verify", "--json")[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_defaults_come_from_library_constants():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from quandlekit.dihedral import (
     ComplexDecompositionReport,
     ComplexSummand,
-    EBasisExpr,
     _summand_check,
     column_periodicity_holds,
     complex_decomposition_check,
@@ -20,8 +19,8 @@ from quandlekit.dihedral import (
 )
 from quandlekit.domains import GF, ZZ
 from quandlekit.errors import PreconditionError, QuandleKitError
-from quandlekit.lattices import AbelianGroupShape, VARIANT_LEFT, _inner_moves
-from quandlekit.quandles import dihedral_quandle
+from quandlekit.lattices import AbelianGroupShape, VARIANT_LEFT
+from quandlekit.quandles import dihedral_quandle, inner_moves
 from quandlekit.rings import multiply, quandle_ring
 
 
@@ -282,7 +281,7 @@ def test_summand_check_on_one_orbit_of_r8():
     sign lines together are invariant but not simple, and a plane row
     added to the trivial line is not invariant."""
     x = dihedral_quandle(8)
-    moves = _inner_moves(x)
+    moves = inner_moves(x)
     rotation = [x.table[x.table[i][0]][1] for i in range(8)]
     orbit = (0, 2, 4, 6)
 

@@ -1,0 +1,36 @@
+"""Every module-level import of a library module is used by that module.
+
+``__init__.py`` is skipped: its imports are the package's re-exports.
+"""
+
+import ast
+import pathlib
+
+import quandlekit
+
+MODULES = sorted(p for p in pathlib.Path(quandlekit.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """(line, name) of each module-level import binding that no Name
+    node of the module reads."""
+    tree = ast.parse(source)
+    bound = [
+        (node.lineno, (alias.asname or alias.name).split(".")[0])
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_scan_sees_unused_and_used_imports():
+    source = "import os\nimport os.path as osp\nfrom a import b, c as d\n\ndef f():\n    return b, osp\n"
+    assert unused_imports(source) == [(1, "os"), (3, "d")]
+
+
+def test_library_modules_use_every_import():
+    assert len(MODULES) >= 10
+    found = {p.name: unused_imports(p.read_text()) for p in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}

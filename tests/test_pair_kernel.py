@@ -1,8 +1,9 @@
 """Differential tests of the pair-digraph kernel and the peak
 2-transitivity predicate against the searches they replaced.
 
-``pair_components`` counts strongly connected components of the digraph
-on ordered pairs of distinct points.  The oracles below are the earlier
+``reaches_every_pair`` decides 2-transitivity by two searches of the
+digraph on ordered pairs of distinct points, one forward and one
+backward, from the single pair (0, 1).  The oracles below are the earlier
 implementations: a depth-first orbit count for groups, a breadth-first
 reachability set from every pair for semigroups, and the one-step image
 check for collections closed under composition.  They are quadratic in
@@ -19,7 +20,6 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.lattices import permutation_rank
 from quandlekit.quandles import (
     Quandle,
     alexander_quandle,
@@ -38,13 +38,12 @@ from quandlekit.symmetry import (
     _peak_2transitive,
     compose,
     enumerate_quandles,
-    inner_group,
     is_left_2transitive,
     is_left_peak_2transitive,
     is_right_2transitive,
     is_right_orbit_2transitive,
     left_semigroup,
-    pair_components,
+    reaches_every_pair,
     restricted_action,
 )
 
@@ -252,13 +251,6 @@ def test_left_peak_of_conj_s4_is_fast():
     assert time.perf_counter() - start < 30
 
 
-def test_permutation_rank_matches_orbit_count():
-    for q in small_quandles() + family_quandles():
-        group = inner_group(q)
-        expected = oracle_pair_orbit_count(list(group.elements), q.n) + 1
-        assert permutation_rank(group, q.n) == expected, q.table
-
-
 def permutation_sets(m):
     return st.tuples(st.just(m), st.lists(st.permutations(list(range(m))).map(tuple), max_size=3))
 
@@ -270,16 +262,26 @@ def map_sets(m):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6).flatmap(permutation_sets))
-def test_group_components_are_pair_orbits(case):
+def test_group_reaches_every_pair_iff_one_pair_orbit(case):
     m, gens = case
-    assert pair_components(gens, m) == oracle_pair_orbit_count(gens, m)
+    assert reaches_every_pair(gens, m) == (oracle_pair_orbit_count(gens, m) <= 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(map_sets))
 def test_semigroup_single_component_is_2transitive(case):
     m, gens = case
-    assert (pair_components(gens, m) <= 1) == oracle_semigroup_2transitive(gens, m)
+    assert reaches_every_pair(gens, m) == oracle_semigroup_2transitive(gens, m)
+
+
+def test_pair_01_reaching_every_pair_is_not_enough():
+    # (0, 1) reaches every pair, but (0, 2), (2, 0), (1, 2) and (2, 1)
+    # reach only one another, never (0, 1): only the backward search
+    # rejects these maps, and about 1% of random map sets are like this
+    gens = [(1, 0, 2), (2, 1, 1), (0, 0, 2)]
+    assert oracle_pair_reachable(gens, 3)[(0, 1)] >= {(a, b) for a in range(3) for b in range(3) if a != b}
+    assert not oracle_semigroup_2transitive(gens, 3)
+    assert not reaches_every_pair(gens, 3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -303,5 +305,9 @@ def test_peak_2transitive_basics():
 
 
 def test_constant_maps_isolate_every_pair():
-    assert pair_components([(0, 0, 0), (2, 2, 2)], 3) == 6
-    assert pair_components([], 1) == 0
+    assert not reaches_every_pair([(0, 0, 0), (2, 2, 2)], 3)
+    assert not reaches_every_pair([], 2)
+    assert reaches_every_pair([], 1)
+    assert reaches_every_pair([(1, 0)], 2)
+    # the collapse (0, 1) -> (0, 0) is an edge to no pair
+    assert reaches_every_pair([(0, 0), (1, 0)], 2)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -29,6 +30,7 @@ from quandlekit.symmetry import (
     left_semigroup,
     quandle_polynomial,
     quandles_isomorphic,
+    _enumerate,
     restricted_action,
 )
 
@@ -225,3 +227,17 @@ def test_union_partition_type_adds():
     assert partition_type(q)[0] == 2
     assert partition_type(q)[2] == 1
     assert orbits(q) == ((0, 1, 2), (3,), (4,))
+
+
+def test_searches_leave_no_reference_cycles():
+    # the recursive closures are unlinked on return, so refcounting frees
+    # each search's state and the cyclic collector finds nothing to do
+    x = dihedral_quandle(7)
+    gc.collect()
+    gc.disable()
+    try:
+        assert quandles_isomorphic(x, x) is not None
+        assert len(_enumerate.__wrapped__(4)) == 7
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
