@@ -283,7 +283,13 @@ def verify_simple_decomposition(x, domain):
     nonzero vector spins up to all of it under Inn(X).  Over characteristic
     zero a 2-transitive restricted orbit action decides the positive case;
     anything else is reported as unknown.
+
+    Over Z there is nothing to certify: an orbit of size m > 1 does not
+    split, as the two summands span a sublattice of index m, and no
+    nonzero lattice W is simple, as 2W lies in W.
     """
+    if domain is ZZ:
+        raise PreconditionError("the simple decomposition needs a field, not %r" % domain)
     char = domain.char
     moves = inner_moves(x)
     entries = []

@@ -1,4 +1,5 @@
-"""Exact linear algebra: integer Hermite/Smith normal forms and row
+"""Exact linear algebra: the integer Hermite normal form (HNF), the Smith
+invariant factors read off HNFs of the rows and columns in turn, and row
 reduction over Q or F_p, in plain Python arithmetic on ints and Fractions.
 
 Both reduced forms are built one row at a time by an echelon form whose
@@ -6,6 +7,8 @@ Both reduced forms are built one row at a time by an echelon form whose
 after every change, each row's entries at the later pivots in [0, pivot),
 which keeps intermediate entries from swelling.
 """
+
+from math import gcd
 
 from .domains import ZZ
 from .errors import DimensionMismatchError, PreconditionError
@@ -140,120 +143,32 @@ def lattice_contains(hnf_rows, v):
     return hnf_coordinates(hnf_rows, v) is not None
 
 
-def smith_normal_form(matrix, transforms=False):
-    """Invariant factors d_1 | d_2 | ... of an integer matrix.
+def smith_normal_form(matrix):
+    """Invariant factors d_1 | d_2 | ... of an integer matrix, after
+    Kannan and Bachem (1979): the HNF of the rows, then the HNF of its
+    columns, and so on in turns until the form is diagonal; then each pair
+    (d_i, d_j), i < j, becomes (gcd, lcm).
 
-    With transforms=True also returns unimodular (U, V) such that
-    U*M*V is the diagonal form.
+    The turns end: each makes the first diagonal entry whose row or column
+    still holds another nonzero entry the gcd of that column or row, so
+    the entry falls to a proper divisor, or it divides the rest and the
+    next turn clears its row and column for good.
     """
-    a = [list(r) for r in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if transforms else None
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if transforms else None
-
-    def row_op(i, j, q):
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        if transforms:
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):
-        for row in a:
-            row[i] -= q * row[j]
-        if transforms:
-            for row in v:
-                row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if transforms:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if transforms:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if transforms:
-            u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < m and t < n:
-        # pivot: smallest nonzero absolute value in the remaining block
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
+    rows = matrix
+    while True:
+        form = IntegerEchelon()
+        for row in rows:
+            form.insert(row)
+        rows = [form.basis[c] for c in sorted(form.basis)]
+        if not any(any(row[i + 1:]) for i, row in enumerate(rows)):
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            moved = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        moved = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        moved = True
-            if not moved and all(a[i][t] == 0 for i in range(t + 1, m)) \
-                    and all(a[t][j] == 0 for j in range(t + 1, n)):
-                break
-        if a[t][t] < 0:
-            negate_row(t)
-        # enforce divisibility d_t | every remaining entry
-        fixed = False
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    row_op(t, i, -1)  # add row i into row t, redo this pivot
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        t += 1
-    factors = [a[i][i] for i in range(t)]
-    if transforms:
-        return factors, ([tuple(r) for r in u], [tuple(r) for r in v])
+        rows = [[row[j] for row in rows] for j in range(form.ncols)]
+    factors = [row[i] for i, row in enumerate(rows)]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] // g * factors[j]
     return factors
-
-
-def det(matrix):
-    """Determinant of a square integer/rational matrix (fraction-free Bareiss)."""
-    a = [list(r) for r in matrix]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def rref(rows, domain):

@@ -18,7 +18,7 @@ from .errors import (
     DomainMismatchError,
     PreconditionError,
 )
-from .linalg import det, field_rank
+from .linalg import field_rank, hermite_normal_form
 
 DEFAULT_WITNESS_BOX = (-2, -1, 1, 2)
 DEFAULT_ISO_BUDGET = 10**7
@@ -149,13 +149,15 @@ def is_ring_homomorphism(r1, r2, matrix):
 
 
 def is_ring_isomorphism(r1, r2, matrix):
-    """Homomorphism plus full rank over the target domain."""
+    """Homomorphism plus invertibility over the target domain: full rank
+    over a field; over Z, rows spanning Z^n (an HNF equal to the
+    identity), which holds exactly when the determinant is +-1."""
     if not is_ring_homomorphism(r1, r2, matrix):
         return False
-    dom = r2.domain
+    n, dom = r1.dim, r2.domain
     if dom is ZZ:
-        return abs(det(matrix)) == 1
-    return field_rank(matrix, dom) == r1.dim
+        return hermite_normal_form(matrix) == [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return field_rank(matrix, dom) == n
 
 
 def _multiplication_matrix(ring, u, side, p):
@@ -190,6 +192,8 @@ def _multiplication_invariants(ring, u, p):
 def find_ring_isomorphism(r1, r2, budget=DEFAULT_ISO_BUDGET):
     """A ring isomorphism r1 -> r2 over their common prime field F_p, as
     the matrix whose column j is phi(e_j), or None when there is none.
+    Rings of different dimension are not isomorphic over any domain, so
+    they get None before the domain is asked to be a prime field.
 
     Needs e_i * e_i = c_i * e_i in r1 for every i, as in a quandle ring and
     in direct sums of quandle rings.  Backtracking over the images of the
@@ -208,10 +212,10 @@ def find_ring_isomorphism(r1, r2, budget=DEFAULT_ISO_BUDGET):
     budget caps the candidate vectors scanned (F_p^n once, then each
     narrowing) plus the search nodes visited; CapacityError beyond it.
     """
-    if r1.dim != r2.dim:
-        raise DimensionMismatchError("rings must have equal dimension")
     if r1.domain is not r2.domain:
         raise DomainMismatchError("rings must share a domain")
+    if r1.dim != r2.dim:
+        return None
     dom = r1.domain
     p = dom.char
     if not p:

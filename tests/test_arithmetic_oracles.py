@@ -312,12 +312,11 @@ def test_decomposition_matches_parent_on_order_le5(p):
     assert checked > 0
 
 
-def test_decomposition_matches_parent_over_q_and_z():
+def test_decomposition_matches_parent_over_q():
     for q in SMALL_QUANDLES:
-        for domain in (QQ, ZZ):
-            report = verify_simple_decomposition(q, domain)
-            got = [(e.orbit, e.dim_triv, e.dim_st, e.invariant, e.simple) for e in report.entries]
-            assert (report.verdict, got) == oracle_verify_simple_decomposition(q, domain)
+        report = verify_simple_decomposition(q, QQ)
+        got = [(e.orbit, e.dim_triv, e.dim_st, e.invariant, e.simple) for e in report.entries]
+        assert (report.verdict, got) == oracle_verify_simple_decomposition(q, QQ)
 
 
 @st.composite

@@ -323,6 +323,20 @@ def test_iso_finds_certified_ring_map_for_paper_pair(tmp_path, capsys):
     assert is_ring_isomorphism(ring_x, ring_y, outputs["ring_iso"])
 
 
+def test_iso_rings_of_different_dimension_are_not_isomorphic(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run(capsys, "make", "dihedral", "3", "-o", str(a))
+    run(capsys, "make", "trivial", "2", "-o", str(b))
+    code, stdout, _ = run(capsys, "iso", str(a), str(b), "--ring-domain", "F3", "--json")
+    assert code == 0
+    assert json.loads(stdout)["outputs"] == {"quandle_iso": None, "ring_iso": None}
+    # a certificate of the wrong shape is still bad parameters
+    eye = write_json(tmp_path / "eye.json", [[1, 0], [0, 1]])
+    code, _, err = run(capsys, "iso", str(a), str(b), "--ring-domain", "F3", "--matrix", eye)
+    assert code == 2
+    assert "shape" in err
+
+
 def test_iso_budget_exceeded_is_capacity(tmp_path, capsys):
     a = tmp_path / "a.json"
     run(capsys, "make", "trivial", "3", "-o", str(a))
@@ -347,6 +361,15 @@ def test_decompose_file_mode(tmp_path, capsys):
     code, stdout, _ = run(capsys, "decompose", str(path), "--domain", "F5")
     assert code == 0
     assert "verdict: verified" in stdout
+
+
+def test_decompose_over_z_is_bad_parameters(tmp_path, capsys):
+    path = tmp_path / "r3.json"
+    run(capsys, "make", "dihedral", "3", "-o", str(path))
+    code, stdout, err = run(capsys, "decompose", str(path), "--domain", "Z", "--json")
+    assert code == 2
+    assert stdout == ""
+    assert "needs a field, not Z" in err
 
 
 def test_decompose_complex_mode(capsys):

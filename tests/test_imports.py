@@ -1,4 +1,5 @@
-"""Every module-level import of a library module is used by that module.
+"""Every module-level import of a library or test module is used by that
+module.
 
 ``__init__.py`` is skipped: its imports are the package's re-exports.
 """
@@ -9,6 +10,7 @@ import pathlib
 import quandlekit
 
 MODULES = sorted(p for p in pathlib.Path(quandlekit.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -33,4 +35,10 @@ def test_scan_sees_unused_and_used_imports():
 def test_library_modules_use_every_import():
     assert len(MODULES) >= 10
     found = {p.name: unused_imports(p.read_text()) for p in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_test_modules_use_every_import():
+    assert len(TEST_MODULES) >= 10
+    found = {p.name: unused_imports(p.read_text()) for p in TEST_MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}

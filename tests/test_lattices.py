@@ -200,6 +200,15 @@ def test_verify_decomposition_r3_over_f5():
     assert (entry.dim_triv, entry.dim_st) == (1, 2)
 
 
+def test_verify_decomposition_over_z_needs_a_field():
+    # the orbit of R_3 does not split over Z: the indicator line and the
+    # augmentation-zero summand span a sublattice of index 3
+    with pytest.raises(PreconditionError, match="needs a field, not Z"):
+        verify_simple_decomposition(dihedral_quandle(3), ZZ)
+    with pytest.raises(PreconditionError):
+        verify_simple_decomposition(trivial_quandle(2), ZZ)
+
+
 def test_verify_decomposition_r9_over_f5_not_simple():
     # spin-up decides that the augmentation-zero summand of R_9 is not simple
     report = verify_simple_decomposition(dihedral_quandle(9), GF(5))

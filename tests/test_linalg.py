@@ -11,7 +11,6 @@ from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.errors import DimensionMismatchError, PreconditionError
 from quandlekit.lattices import span
 from quandlekit.linalg import (
-    det,
     field_rank,
     hermite_normal_form,
     hnf_coordinates,
@@ -19,6 +18,8 @@ from quandlekit.linalg import (
     rref,
     smith_normal_form,
 )
+from quandlekit.quandles import dihedral_quandle
+from quandlekit.rings import is_ring_homomorphism, is_ring_isomorphism, quandle_ring
 
 small_matrix = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(
@@ -29,12 +30,23 @@ small_matrix = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [
-        tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
-        for i in range(rows)
-    ]
+def det(matrix):
+    """Determinant of a square integer matrix by elimination over Fraction."""
+    n = len(matrix)
+    work = [[Fraction(v) for v in row] for row in matrix]
+    d = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
+            d = -d
+        d *= work[c][c]
+        for i in range(c + 1, n):
+            f = work[i][c] / work[c][c]
+            work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return int(d)
 
 
 def fraction_rank(matrix):
@@ -134,12 +146,28 @@ def test_snf_known_cases():
     assert smith_normal_form([[0, 0], [0, 0]]) == []
     assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     assert smith_normal_form([[6]]) == [6]
+    wide = [[-1, -1, -5, -7, 9, -1], [-2, -2, 8, 8, -9, 3], [-9, -4, -1, 9, -9, 0], [-3, 9, 8, 8, -4, -8],
+            [-8, 1, -4, -8, -7, 4]]
+    assert smith_normal_form(wide) == minors_gcd_factors(wide) == [1, 1, 1, 1, 16]
 
 
 def test_snf_transforms_known():
-    factors, (u, v) = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], transforms=True)
-    assert factors == [2, 6, 12]
-    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
+
+
+def test_snf_needs_several_column_turns():
+    # rows HNF [[4, 2], [0, 3]], then columns [[2, 3], [0, 6]], then
+    # [[1, 6], [0, 12]]: reading the diagonal after one column turn gives [2, 6]
+    assert smith_normal_form([[4, -1], [0, 3]]) == [1, 12]
+    assert smith_normal_form([[0, 3], [4, -1]]) == [1, 12]
+
+
+def test_snf_5x5_against_minors():
+    rng = random.Random(55)
+    for _ in range(10):
+        a = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
+        assert smith_normal_form(a) == minors_gcd_factors(a)
+    assert smith_normal_form([[9, -9, 0, 3, 6]] * 5) == [3]
 
 
 def random_matrix(rng, max_dim=4, lo=-2, hi=2):
@@ -152,20 +180,11 @@ def test_snf_random_properties_500():
     rng = random.Random(20260823)
     for _ in range(500):
         a = random_matrix(rng)
-        factors, (u, v) = smith_normal_form(a, transforms=True)
+        factors = smith_normal_form(a)
         # divisibility chain
         for d1, d2 in zip(factors, factors[1:]):
             assert d2 % d1 == 0
         assert all(d >= 1 for d in factors)
-        # unimodular transforms reproduce the diagonal
-        assert abs(det(u)) == 1
-        assert abs(det(v)) == 1
-        prod = mat_mul(mat_mul([list(r) for r in u], a), [list(r) for r in v])
-        m, n = len(a), len(a[0])
-        for i in range(m):
-            for j in range(n):
-                expected = factors[i] if i == j and i < len(factors) else 0
-                assert prod[i][j] == expected
         # independent oracle: gcd of k x k minors
         assert factors == minors_gcd_factors(a)
         assert len(factors) == fraction_rank(a)
@@ -214,27 +233,28 @@ def test_snf_against_coset_enumeration():
             assert actual == expected
 
 
-def test_det_against_fraction_elimination():
+def test_det_oracle_against_leibniz_formula():
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(1, 4)
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        work = [[Fraction(v) for v in row] for row in a]
-        d = Fraction(1)
-        sign = 1
-        for c in range(n):
-            piv = next((i for i in range(c, n) if work[i][c] != 0), None)
-            if piv is None:
-                d = Fraction(0)
-                break
-            if piv != c:
-                work[c], work[piv] = work[piv], work[c]
-                sign = -sign
-            d *= work[c][c]
-            for i in range(c + 1, n):
-                f = work[i][c] / work[c][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-        assert det(a) == sign * d
+        total = 0
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+            term = (-1) ** inversions
+            for i, j in enumerate(perm):
+                term *= a[i][j]
+            total += term
+        assert det(a) == total
+
+
+def test_ring_isomorphism_over_z_is_unimodularity():
+    ring = quandle_ring(dihedral_quandle(5), ZZ)
+    double = [[int(i == 2 * j % 5) for j in range(5)] for i in range(5)]  # x -> 2x, a 4-cycle
+    assert det(double) == -1
+    assert is_ring_isomorphism(ring, ring, double)
+    onto_zero = [[int(i == 0) for _ in range(5)] for i in range(5)]  # every e_j -> e_0
+    assert is_ring_homomorphism(ring, ring, onto_zero) and not is_ring_isomorphism(ring, ring, onto_zero)
 
 
 def test_rref_over_gf5():

@@ -128,6 +128,11 @@ def test_search_needs_squares_on_the_diagonal():
         find_ring_isomorphism(ring, ring)
 
 
+def test_rings_of_different_dimension_are_not_isomorphic():
+    for dom in (GF(3), QQ):
+        assert find_ring_isomorphism(quandle_ring(PAIR4_X, dom), quandle_ring(trivial_quandle(3), dom)) is None
+
+
 def test_search_needs_one_prime_field():
     with pytest.raises(DomainMismatchError):
         find_ring_isomorphism(quandle_ring(PAIR4_X, GF(2)), quandle_ring(PAIR4_Y, GF(3)))
