@@ -213,9 +213,13 @@ def orbit_summands(x, domain):
     """Per orbit: the rank-1 span of the orbit indicator and the
     augmentation-zero subspace supported on the orbit.
 
-    The splitting needs the orbit size to be invertible, so a field
-    characteristic dividing an orbit size is rejected.
+    The splitting needs the orbit size to be invertible, so Z and a field
+    characteristic dividing an orbit size are rejected.  Over Z an orbit
+    of size m > 1 does not split: the two summands span a sublattice of
+    index m.
     """
+    if domain is ZZ:
+        raise PreconditionError("the orbit decomposition needs a field, not %r" % domain)
     char = domain.char
     out = []
     for orb in orbits(x):
@@ -284,16 +288,14 @@ def verify_simple_decomposition(x, domain):
     zero a 2-transitive restricted orbit action decides the positive case;
     anything else is reported as unknown.
 
-    Over Z there is nothing to certify: an orbit of size m > 1 does not
-    split, as the two summands span a sublattice of index m, and no
-    nonzero lattice W is simple, as 2W lies in W.
+    Over Z there is nothing to certify: `orbit_summands` refuses Z, and
+    no nonzero lattice W is simple, as 2W lies in W.
     """
-    if domain is ZZ:
-        raise PreconditionError("the simple decomposition needs a field, not %r" % domain)
+    summands = orbit_summands(x, domain)
     char = domain.char
     moves = inner_moves(x)
     entries = []
-    for orb, v_triv, v_st in orbit_summands(x, domain):
+    for orb, v_triv, v_st in summands:
         if len(orb) == 1:
             simple = True  # nothing beyond the trivial summand
         elif char:

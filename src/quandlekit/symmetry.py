@@ -20,20 +20,13 @@ from .quandles import (
 )
 
 DEFAULT_CLOSURE_CAP = 10**7
-DEFAULT_ENUM_BOUND = 6
+DEFAULT_ENUM_BOUND = 7
 CANONICAL_MAX_N = 8
 
 
 def compose(f, g):
     """f after g."""
     return tuple(f[x] for x in g)
-
-
-def inverse(p):
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
 
 
 def identity(n):
@@ -310,8 +303,14 @@ def _find_isomorphism(x, y, inv_x, inv_y):
     candidates = [[w for w in range(n) if inv_y[w] == inv_x[v]] for v in range(n)]
     sigma = [None] * n
     used = [False] * n
+    landing = [[] for _ in range(n)]  # landing[t]: the pairs (a, b) with a>b = t
+    for a in range(n):
+        for b in range(n):
+            landing[x.table[a][b]].append((a, b))
 
     def consistent(v):
+        """sigma keeps every product a>b = t with a, b and t placed and v
+        among them."""
         for i in range(n):
             if sigma[i] is None:
                 continue
@@ -319,6 +318,9 @@ def _find_isomorphism(x, y, inv_x, inv_y):
                 t = x.table[a][b]
                 if sigma[t] is not None and y.table[sigma[a]][sigma[b]] != sigma[t]:
                     return False
+        for a, b in landing[v]:
+            if sigma[a] is not None and sigma[b] is not None and y.table[sigma[a]][sigma[b]] != sigma[v]:
+                return False
         return True
 
     def backtrack(v):
@@ -436,53 +438,85 @@ def enumerate_quandles(n, bound=DEFAULT_ENUM_BOUND):
     return _enumerate(n)
 
 
+def _cycle_lengths(perm):
+    """Sorted cycle lengths of a permutation, fixed points included."""
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        length = 0
+        while not seen[start]:
+            seen[start] = True
+            start = perm[start]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
 @lru_cache(maxsize=None)
 def _enumerate(n):
     """The search behind `enumerate_quandles`, cached per n.
 
     The table is built column by column, column j being the permutation
-    R_j, which fixes j (axioms I-II by construction):
+    R_j, which fixes j (axioms I-II by construction).  The rank of a
+    column is the place of its cycle type off its own fixed point in
+    `_cycle_type_reps(n)`.
 
-    1. Column 0 ranges over `_cycle_type_reps(n)`: relabeling {1..n-1}
-       conjugates R_0 into the representative of its cycle type.
-    2. Axiom III says R_{R_k(j)} = R_k R_j R_k^-1, so each placed column
-       fills, or contradicts, columns R_k(j) and R_j(k) for every placed
-       column k.  A branch places the lowest empty column, propagates
-       until nothing more is forced, and undoes its columns when it
-       backtracks.  Every pair of placed columns has then been checked,
-       so a complete table is a quandle.
+    1. Column 0 ranges over `_cycle_type_reps(n)`.  With column 0 of
+       rank r, no column of rank below r is placed or accepted when
+       forced.  No class is lost: relabel an element v of least rank to 0
+       and conjugate R_v into its representative; every column of that
+       table has rank r or more, so the search reaches it.
+    2. Axiom III says R_{R_b(a)} = R_b R_a R_b^-1, that is
+       R_{R_b(a)}[R_b[y]] = R_b[R_a[y]] for every y.  Placed columns wait
+       on a stack.  A popped column a is checked against every column b
+       popped before it, in both directions, so each pair is checked
+       once.  A target column already set is compared point by point, up
+       to the first mismatch.  An empty target is filled and pushed,
+       unless its rank is below r, which ends the branch.  A branch places
+       the lowest empty column, propagates until the stack is empty, and
+       undoes its columns when it backtracks.  Every pair of placed
+       columns has then been checked, so a complete table is a quandle.
     3. Complete tables are bucketed by their sorted per-element
        invariants, which fix the partition type; one is kept only when
        `_find_isomorphism` matches no representative of its bucket.  `canonical_form` runs once per
        class, and the result is sorted by canonical table.
     """
-    candidates = [_cycle_type_reps(n)] + [_diagonal_fixing_perms(n, j) for j in range(1, n)]
+    type_reps = _cycle_type_reps(n)
+    rank_of_type = {_cycle_lengths(rep): r for r, rep in enumerate(type_reps)}
+    perms = [_diagonal_fixing_perms(n, j) for j in range(1, n)]
+    rank = {col: rank_of_type[_cycle_lengths(col)] for js in perms for col in js}
     cols = [None] * n
-    invs = [None] * n
+    popped = []
     buckets = {}
 
-    def place(j, col, filled):
+    def place(j, col, filled, least):
         """Set column j and every column it forces; False on a contradiction."""
-        cols[j], invs[j] = col, inverse(col)
+        cols[j] = col
         filled.append(j)
-        queue = [j]
-        while queue:
-            a = queue.pop()
-            ra, ra_inv = cols[a], invs[a]
-            for b in range(n):
+        stack = [j]
+        while stack:
+            a = stack.pop()
+            ra = cols[a]
+            for b in popped:
                 rb = cols[b]
-                if rb is None:
-                    continue
-                for target, forced in (
-                    (rb[a], compose(compose(rb, ra), invs[b])),
-                    (ra[b], compose(compose(ra, rb), ra_inv)),
-                ):
-                    if cols[target] is None:
-                        cols[target], invs[target] = forced, inverse(forced)
-                        filled.append(target)
-                        queue.append(target)
-                    elif cols[target] != forced:
-                        return False
+                for f, g, t in ((rb, ra, rb[a]), (ra, rb, ra[b])):
+                    have = cols[t]
+                    if have is None:
+                        forced = [0] * n
+                        for y in range(n):
+                            forced[f[y]] = f[g[y]]
+                        forced = tuple(forced)
+                        if rank[forced] < least:
+                            return False
+                        cols[t] = forced
+                        filled.append(t)
+                        stack.append(t)
+                    else:
+                        for y in range(n):
+                            if have[f[y]] != f[g[y]]:
+                                return False
+            popped.append(a)
         return True
 
     def keep():
@@ -492,19 +526,23 @@ def _enumerate(n):
         if all(_find_isomorphism(q, r, inv, inv_r) is None for r, inv_r in reps):
             reps.append((q, inv))
 
-    def search():
-        if None not in cols:
-            keep()
-            return
-        c = cols.index(None)
-        for col in candidates[c]:
-            filled = []
-            if place(c, col, filled):
-                search()
-            for j in filled:
-                cols[j] = invs[j] = None
+    def search(c, col, least, candidates):
+        """Place col as column c, search below it, and undo."""
+        filled, mark = [], len(popped)
+        if place(c, col, filled, least):
+            if None not in cols:
+                keep()
+            else:
+                nxt = cols.index(None)
+                for cand in candidates[nxt]:
+                    search(nxt, cand, least, candidates)
+        for j in filled:
+            cols[j] = None
+        del popped[mark:]
 
-    search()
+    for least, rep in enumerate(type_reps):
+        candidates = [None] + [[col for col in js if rank[col] >= least] for js in perms]
+        search(0, rep, least, candidates)
     del search  # it refers to itself: unlink it so the search state is freed now
     found = sorted(canonical_form(q) for reps in buckets.values() for q, _ in reps)
     return tuple(Quandle(n, tbl) for tbl in found)

@@ -105,6 +105,18 @@ def test_criterion_01_stretch_order6():
     )
 
 
+def test_criterion_01_report_order7():
+    start = time.monotonic()
+    qs = enumerate_quandles(7)
+    counts = (
+        len(qs),
+        sum(is_right_orbit_2transitive(q) for q in qs),
+        sum(is_left_peak_2transitive(q) for q in qs),
+    )
+    elapsed = time.monotonic() - start
+    record_report(1, "classes/right-2t/left-2t for n=7 (non-gating): %s" % (counts,), elapsed)
+
+
 def test_criterion_02_power_associativity():
     start = time.monotonic()
     checked = 0

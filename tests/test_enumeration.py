@@ -8,11 +8,17 @@ in n, so it is compared for n <= 5 only.
 """
 
 import itertools
+import random
 
 import pytest
 
 from quandlekit.quandles import Quandle, validate_table
-from quandlekit.symmetry import _cycle_type_reps, canonical_form, enumerate_quandles
+from quandlekit.symmetry import (
+    _cycle_type_reps,
+    canonical_form,
+    enumerate_quandles,
+    quandles_isomorphic,
+)
 
 PARTITION_COUNTS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 7, 7: 11, 8: 15}  # p(n - 1)
 
@@ -84,6 +90,27 @@ def cycle_type(perm):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumeration_matches_oracle(n):
     assert enumerate_quandles(n) == oracle_enumerate(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_each_relabeled_class_matches_exactly_one(n):
+    # a relabeled class is isomorphic to its own representative and to
+    # no other, whatever cycle type its element 0 has
+    rng = random.Random(n)
+    qs = enumerate_quandles(n)
+    for q in qs:
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                table[sigma[i]][sigma[j]] = sigma[q.op(i, j)]
+        moved = Quandle.from_table(table)
+        assert sum(quandles_isomorphic(moved, r) is not None for r in qs) == 1
+
+
+def test_order7_class_count():
+    assert len(enumerate_quandles(7)) == 298  # OEIS A057991
 
 
 def test_one_search_per_order_whatever_the_bound():

@@ -186,6 +186,12 @@ def test_orbit_summands_characteristic_guard():
         orbit_summands(dihedral_quandle(3), GF(3))
 
 
+def test_orbit_summands_over_z_needs_a_field():
+    # over Z the two summands of the orbit of R_3 span a sublattice of index 3
+    with pytest.raises(PreconditionError, match="needs a field, not Z"):
+        orbit_summands(dihedral_quandle(3), ZZ)
+
+
 def test_dims_sum_to_n():
     for n in range(2, 6):
         for q in enumerate_quandles(n):

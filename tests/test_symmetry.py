@@ -18,9 +18,7 @@ from quandlekit.symmetry import (
     canonical_form,
     compose,
     enumerate_quandles,
-    identity,
     inner_group,
-    inverse,
     is_left_2transitive,
     is_left_cyclic_type,
     is_left_peak_2transitive,
@@ -42,13 +40,6 @@ def test_compose_applies_right_first():
     g = (0, 0, 0)
     assert compose(f, g) == (1, 1, 1)
     assert compose(g, f) == (0, 0, 0)
-
-
-@given(st.permutations(list(range(6))))
-def test_inverse_is_inverse(p):
-    p = tuple(p)
-    assert compose(p, inverse(p)) == identity(6)
-    assert compose(inverse(p), p) == identity(6)
 
 
 def test_inner_group_sizes():
@@ -198,11 +189,11 @@ def test_enumeration_counts_small():
 
 def test_enumeration_bound():
     with pytest.raises(CapacityError):
-        enumerate_quandles(7)
+        enumerate_quandles(8)
 
 
 def test_enumeration_pairwise_non_isomorphic():
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         qs = enumerate_quandles(n)
         for a, b in itertools.combinations(qs, 2):
             assert quandles_isomorphic(a, b) is None
