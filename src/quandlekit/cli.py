@@ -41,7 +41,7 @@ from .errors import (
     MalformedTableError,
     QuandleKitError,
 )
-from .lattices import VARIANT_ALL, VARIANT_LEFT, verify_simple_decomposition
+from .lattices import verify_simple_decomposition
 from .quandles import (
     Quandle,
     alexander_quandle,
@@ -87,6 +87,9 @@ EXIT_AXIOM = 4
 EXIT_CAPACITY = 5
 
 CATALOG_ENV = "QUANDLEKIT_CATALOG"
+
+# `delta` labels; both bracketings give the same powers (`lattices.delta_powers`)
+DELTA_LABELS = ("all-bracketings", "left-normed")
 
 # Reference values for the verification suite (cmd_verify).  Keyed facts
 # only; the functions that compute the actual values live in their
@@ -219,8 +222,10 @@ def _read_matrix(path, domain):
     """The matrix in the JSON file at path, its entries read into domain."""
     doc = _read_json(path)
     try:
+        if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
+            raise QuandleKitError("expected a list of row lists")
         return [[domain.from_json(v) for v in row] for row in doc]
-    except (TypeError, ValueError, QuandleKitError) as exc:
+    except QuandleKitError as exc:
         message = "%s: not a matrix over %r: %s" % (path, domain, exc)
         raise MalformedTableError("bad-structure", message) from exc
 
@@ -454,10 +459,9 @@ def cmd_delta(args):
     if args.dihedral is None:
         raise QuandleKitError("specify --dihedral N (general tables: use the API)")
     n = args.dihedral
-    variants = [args.variant] if args.variant else [VARIANT_ALL, VARIANT_LEFT]
+    shapes = delta_series_shapes(n, args.kmax)
     records = []
-    for variant in variants:
-        shapes = delta_series_shapes(n, args.kmax, variant)
+    for variant in [args.variant] if args.variant else DELTA_LABELS:
         for k, shape in enumerate(shapes, start=1):
             records.append(
                 {
@@ -650,7 +654,7 @@ def build_parser():
     p = sub.add_parser("delta", help="successive augmentation-power quotients")
     p.add_argument("--dihedral", type=int, default=None)
     p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--variant", choices=[VARIANT_ALL, VARIANT_LEFT], default=None)
+    p.add_argument("--variant", choices=DELTA_LABELS, help="print only this label (both carry the same shapes)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_delta)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .domains import GF, ZZ, _is_prime
 from .errors import PreconditionError, QuandleKitError
-from .lattices import VARIANT_ALL, _spin, delta_powers, quotient_shape
+from .lattices import _spin, delta_powers, quotient_shape
 from .linalg import rref
 from .quandles import dihedral_quandle, inner_moves
 
@@ -194,16 +194,12 @@ def verify_product_formulas(n):
     return FormulaReport(n=n, case=case, checked=checked, mismatches=tuple(mismatches))
 
 
-def delta_series_shapes(n, k_max, variant=VARIANT_ALL):
+def delta_series_shapes(n, k_max):
     """quotient_shape(Delta^k, Delta^(k+1)) for k = 1..k_max over Z."""
     if n < 2 or k_max < 1:
         raise PreconditionError("need n >= 2 and k_max >= 1")
-    powers = delta_powers(dihedral_quandle(n), ZZ, k_max + 1, variant)
+    powers = delta_powers(dihedral_quandle(n), ZZ, k_max + 1)
     return [quotient_shape(powers[k - 1], powers[k]) for k in range(1, k_max + 1)]
-
-
-def _in_delta2(n, expr, delta2):
-    return delta2.contains(e_to_vector(expr))
 
 
 def star_relations_check(n):
@@ -214,7 +210,7 @@ def star_relations_check(n):
     for l in range(2, n):
         expected = [(2, l // 2)] + ([(1, 1)] if l % 2 else [])
         diff = e_expr(n, [(l, 1)] + [(i, -c) for i, c in expected])
-        if not _in_delta2(n, diff, delta2):
+        if not delta2.contains(e_to_vector(diff)):
             return False
     return True
 
@@ -224,13 +220,9 @@ def odd_relations_check(n):
     if n < 3 or n % 2 == 0:
         raise PreconditionError("needs odd n >= 3")
     delta2 = delta_powers(dihedral_quandle(n), ZZ, 2)[1]
-    for i in range(1, (n - 1) // 2 + 1):
-        if not _in_delta2(n, e_expr(n, [(2 * i, 1), (n - 2 * i, 1)]), delta2):
-            return False
-    for k in range(2, n):
-        if not _in_delta2(n, e_expr(n, [(k, 1), (1, -k)]), delta2):
-            return False
-    return _in_delta2(n, e_expr(n, [(1, n)]), delta2)
+    exprs = [e_expr(n, [(2 * i, 1), (n - 2 * i, 1)]) for i in range(1, (n - 1) // 2 + 1)]
+    exprs += [e_expr(n, [(k, 1), (1, -k)]) for k in range(2, n)] + [e_expr(n, [(1, n)])]
+    return all(delta2.contains(e_to_vector(e)) for e in exprs)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ back to normal form (``reduce``), which over F_p is the one place the
 mod-p rule lives.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import QuandleKitError
@@ -44,7 +45,8 @@ class Domain:
         return a
 
     def from_json(self, v):
-        return self.coerce(v)
+        """A JSON integer; over Q also a string as `to_json` writes it."""
+        return self.coerce(ZZ.coerce(v))
 
     def __repr__(self):
         return self.kind
@@ -71,6 +73,11 @@ class RationalDomain(Domain):
 
     def to_json(self, a):
         return "%d/%d" % (a.numerator, a.denominator)
+
+    def from_json(self, v):
+        if isinstance(v, str) and re.fullmatch("-?[0-9]+/0*[1-9][0-9]*", v):
+            return Fraction(v)
+        return super().from_json(v)
 
 
 class PrimeField(Domain):

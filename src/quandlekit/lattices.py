@@ -36,10 +36,6 @@ from .quandles import inner_moves, orbits
 from .rings import multiply, quandle_ring
 from .symmetry import reaches_every_pair, restricted_action
 
-VARIANT_ALL = "all-bracketings"
-VARIANT_LEFT = "left-normed"
-
-
 @dataclass(frozen=True)
 class Submodule:
     ambient_dim: int
@@ -111,31 +107,31 @@ def _spin(domain, seeds, moves):
     return tuple(form.rows()), grown
 
 
-def delta_powers(x, domain, k_max, variant=VARIANT_ALL):
-    """[Delta^1, ..., Delta^k_max] for the quandle ring of x.
-
-    The default combines every bracketing, Delta^k = sum of Delta^i *
-    Delta^j over i + j = k; the left-normed variant uses Delta^(k-1) * Delta
-    only.  A product of Inn(X)-closed powers is spun up under the R_a of a
+def delta_powers(x, domain, k_max):
+    """[Delta^1, ..., Delta^k_max] for the quandle ring of x, where
+    Delta^k = Delta^(k-1) * Delta, each spun up under the R_a of a
     generating set of X from the products of the grown seeds of one factor
     with the basis of the other, whichever pairing is smaller.
+
+    Bracketing does not matter: Delta^i * Delta^j lies in Delta^(i+j), so
+    the sum over all bracketings of a k-fold product is Delta^k too.  The
+    ring automorphisms r_y(v) = v * e_y keep every Delta^k, which is
+    spanned by the r_y(u) - r_z(u), u in Delta^(k-1).  Induct on j for
+    all i; j = 1 is the definition.  For u in Delta^i, v in Delta^(j-1)
+    and u_y = r_y^-1(u) in Delta^i, u * (r_y(v) - r_z(v)) =
+    r_y(u_y * v) - r_z(u_z * v) = (u_y * v) * (e_y - e_z) +
+    r_z((u_y - u_z) * v), and u_z - u_y = r_y^-1(w * (e_y - e_z)) with
+    w = r_z^-1(u) lies in Delta^(i+1): both terms lie in Delta^(i+j).
     """
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
-    if variant not in (VARIANT_ALL, VARIANT_LEFT):
-        raise PreconditionError("unknown variant %r" % variant)
     ring = quandle_ring(x, domain)
     moves = inner_moves(x)
     factors = [_spin(domain, augmentation_ideal(x, domain).basis, moves)]  # (basis, grown seeds)
-
-    def products(i, j):
-        (bi, si), (bj, sj) = factors[i - 1], factors[j - 1]
+    for _ in range(2, k_max + 1):
+        (bi, si), (bj, sj) = factors[-1], factors[0]
         left, right = (si, bj) if len(si) * len(bj) <= len(bi) * len(sj) else (bi, sj)
-        return (multiply(ring, u, v) for u in left for v in right)
-
-    for k in range(2, k_max + 1):
-        splits = [(k - 1, 1)] if variant == VARIANT_LEFT else [(i, k - i) for i in range(1, k)]
-        factors.append(_spin(domain, (w for i, j in splits for w in products(i, j)), moves))
+        factors.append(_spin(domain, (multiply(ring, u, v) for u in left for v in right), moves))
     return [Submodule(ambient_dim=x.n, domain=domain, basis=basis) for basis, _ in factors]
 
 

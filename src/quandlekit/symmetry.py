@@ -15,7 +15,6 @@ from .quandles import (
     inner_moves,
     left_translation,
     orbits,
-    partition_type,
     right_translation,
 )
 
@@ -285,16 +284,15 @@ def _element_invariants(x):
 def quandles_isomorphic(x, y):
     """Return a relabeling sigma with sigma(i>j) = sigma(i)>sigma(j), or None.
 
-    Prunes by partition type, quandle polynomial and per-element
-    invariants before backtracking.
+    The sorted per-element invariants, which fix the partition type and
+    the quandle polynomial, must agree before backtracking.
     """
     if x.n != y.n:
         raise QuandleKitError("size mismatch: %d vs %d" % (x.n, y.n))
-    if partition_type(x) != partition_type(y):
+    inv_x, inv_y = _element_invariants(x), _element_invariants(y)
+    if sorted(inv_x) != sorted(inv_y):
         return None
-    if quandle_polynomial(x) != quandle_polynomial(y):
-        return None
-    return _find_isomorphism(x, y, _element_invariants(x), _element_invariants(y))
+    return _find_isomorphism(x, y, inv_x, inv_y)
 
 
 def _find_isomorphism(x, y, inv_x, inv_y):

@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 from test_multiply_oracle import DOMAINS, SMALL_QUANDLES, coefficients, ring_and_oracle
 from test_pair_kernel import cayley_table, dihedral_group, oracle_pair_orbit_count, relabel
 
-from quandlekit import lattices
 from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.lattices import (
     delta_powers,
@@ -51,7 +50,7 @@ from quandlekit.quandles import (
     right_translation,
 )
 from quandlekit.rings import multiply, quandle_ring
-from quandlekit.symmetry import restricted_action
+from quandlekit.symmetry import enumerate_quandles, restricted_action
 
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]
 
@@ -404,7 +403,7 @@ def oracle_delta_powers(x, domain, k_max, variant):
     powers = [tuple(reduce([[-1] + [int(k == i) for k in range(1, n)] for i in range(1, n)]))]
     inputs = []
     for k in range(2, k_max + 1):
-        splits = [(k - 1, 1)] if variant == lattices.VARIANT_LEFT else [(i, k - i) for i in range(1, k)]
+        splits = [(k - 1, 1)] if variant == "left-normed" else [(i, k - i) for i in range(1, k)]
         rows = tuple(
             tuple(multiply(ring, list(u), list(v)))
             for i, j in splits
@@ -416,14 +415,20 @@ def oracle_delta_powers(x, domain, k_max, variant):
     return tuple(powers), tuple(inputs)
 
 
-VARIANTS = (lattices.VARIANT_ALL, lattices.VARIANT_LEFT)
+VARIANTS = ("all-bracketings", "left-normed")
 
 
 @pytest.mark.parametrize("domain, max_n", [(ZZ, 32), (QQ, 9), (GF(3), 9)], ids=["Z", "Q", "F_3"])
 def test_delta_powers_match_product_oracle(domain, max_n):
-    for q in delta_cases(max_n):
+    """The one Delta^k = Delta^(k-1) * Delta equals the sum over all
+    bracketings and the left-normed product alike; over Z also on the 107
+    quandles of order at most 6."""
+    cases = delta_cases(max_n)
+    if domain is ZZ:
+        cases += [q for n in range(1, 7) for q in enumerate_quandles(n)]
+    for q in cases:
+        got = tuple(p.basis for p in delta_powers(q, domain, 4))
         for variant in VARIANTS:
-            got = tuple(p.basis for p in delta_powers(q, domain, 4, variant))
             assert got == oracle_delta_powers(q, domain, 4, variant)[0], (q.n, variant)
 
 

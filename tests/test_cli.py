@@ -279,6 +279,22 @@ def test_delta_report(capsys):
     assert code == 2
 
 
+def test_delta_labels_print_the_one_filtration(capsys):
+    code, stdout, _ = run(capsys, "delta", "--dihedral", "6", "--kmax", "3", "--json")
+    assert code == 0
+    shapes = {}
+    for r in json.loads(stdout)["outputs"]:
+        shapes.setdefault(r["variant"], []).append((r["k"], r["shape"]))
+    assert sorted(shapes) == ["all-bracketings", "left-normed"]
+    assert shapes["all-bracketings"] == shapes["left-normed"]
+    assert len(shapes["left-normed"]) == 3
+    code, stdout, _ = run(capsys, "delta", "--dihedral", "6", "--kmax", "3", "--variant", "left-normed")
+    assert code == 0
+    lines = stdout.splitlines()
+    assert len(lines) == 3
+    assert all("[left-normed]" in line for line in lines)
+
+
 def test_delta_odd_not_exploratory(capsys):
     code, stdout, _ = run(capsys, "delta", "--dihedral", "5", "--kmax", "2", "--variant", "all-bracketings")
     assert code == 0
@@ -345,7 +361,18 @@ def test_iso_budget_exceeded_is_capacity(tmp_path, capsys):
     assert "capacity" in err
 
 
-@pytest.mark.parametrize("matrix", [7, [[1, 0], "ab"], [[1, "x"], [0, 1]], [[1, None], [0, 1]]])
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        7,
+        [[1, 0], "ab"],
+        [[1, "x"], [0, 1]],
+        [[1, None], [0, 1]],
+        [[1.5, 0], [0, 1]],
+        [[True, 0], [0, 1]],
+        ["10", "01"],
+    ],
+)
 def test_iso_malformed_matrix_is_named_parse_error(tmp_path, capsys, matrix):
     a = tmp_path / "a.json"
     run(capsys, "make", "trivial", "2", "-o", str(a))
@@ -353,6 +380,21 @@ def test_iso_malformed_matrix_is_named_parse_error(tmp_path, capsys, matrix):
     code, _, err = run(capsys, "iso", str(a), str(a), "--ring-domain", "F3", "--matrix", m)
     assert code == 3
     assert m in err
+
+
+def test_iso_matrix_over_q_reads_only_the_written_fractions(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    run(capsys, "make", "trivial", "2", "-o", str(a))
+    for bad in (["10", "01"], [["1", 0], [0, 1]], [["1.0", 0], [0, 1]], [["1/0", 0], [0, 1]], [[1.0, 0], [0, 1]]):
+        m = write_json(tmp_path / "bad.json", bad)
+        code, _, err = run(capsys, "iso", str(a), str(a), "--ring-domain", "Q", "--matrix", m)
+        assert code == 3, bad
+        assert m in err
+    for matrix, valid in (([["1/1", "0/1"], [0, "1/1"]], True), ([["1/1", 0], [0, "2/1"]], False)):
+        m = write_json(tmp_path / "m.json", matrix)
+        code, stdout, _ = run(capsys, "iso", str(a), str(a), "--ring-domain", "Q", "--matrix", m, "--json")
+        assert code == 0
+        assert json.loads(stdout)["outputs"]["ring_iso_matrix_valid"] is valid
 
 
 def test_decompose_file_mode(tmp_path, capsys):

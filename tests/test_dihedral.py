@@ -19,7 +19,7 @@ from quandlekit.dihedral import (
 )
 from quandlekit.domains import GF, ZZ
 from quandlekit.errors import PreconditionError, QuandleKitError
-from quandlekit.lattices import AbelianGroupShape, VARIANT_LEFT
+from quandlekit.lattices import AbelianGroupShape
 from quandlekit.quandles import dihedral_quandle, inner_moves
 from quandlekit.rings import multiply, quandle_ring
 
@@ -192,11 +192,6 @@ def test_delta_series_even_first_quotient():
     for n in (4, 6, 8, 10):
         shape = delta_series_shapes(n, 1)[0]
         assert shape == AbelianGroupShape(1, (n // 2,))
-
-
-def test_delta_series_left_normed_variant_runs():
-    shapes = delta_series_shapes(6, 2, VARIANT_LEFT)
-    assert shapes[0] == AbelianGroupShape(1, (3,))
 
 
 def test_star_relations():

@@ -8,8 +8,6 @@ from test_pair_kernel import oracle_pair_orbit_count
 from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.errors import ContainmentError, NonSplitError, PreconditionError
 from quandlekit.lattices import (
-    VARIANT_ALL,
-    VARIANT_LEFT,
     AbelianGroupShape,
     augmentation_ideal,
     delta_powers,
@@ -76,20 +74,9 @@ def test_delta_powers_descending_r5():
         assert submodule_leq(b, a)
 
 
-def test_delta_power_variants():
-    for n in (4, 5, 6):
-        q = dihedral_quandle(n)
-        all_br = delta_powers(q, ZZ, 3, VARIANT_ALL)
-        left = delta_powers(q, ZZ, 3, VARIANT_LEFT)
-        for a, b in zip(all_br, left):
-            assert submodule_leq(b, a)
-
-
 def test_delta_power_bad_args():
     with pytest.raises(PreconditionError):
         delta_powers(dihedral_quandle(3), ZZ, 0)
-    with pytest.raises(PreconditionError):
-        delta_powers(dihedral_quandle(3), ZZ, 2, "sideways")
 
 
 def test_quotient_shape_trivial():
