@@ -29,7 +29,6 @@ from .rings import quandle_ring, power_assoc_witness
 from .symmetry import (
     enumerate_quandles,
     inner_group,
-    left_semigroup,
     quandle_polynomial,
     quandles_isomorphic,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "disjoint_union",
     "enumerate_quandles",
     "inner_group",
-    "left_semigroup",
     "orbits",
     "partition_type",
     "power_assoc_witness",

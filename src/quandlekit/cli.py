@@ -426,10 +426,10 @@ def cmd_enumerate(args):
 def cmd_power_assoc(args):
     q = load_quandle(args.file)
     domain = parse_domain(args.domain)
-    box = tuple(_int_param(v) for v in args.box.split(","))
-    witness = power_assoc_witness(q, domain, box=box)
+    witness = power_assoc_witness(q, domain)
+    box = list(DEFAULT_WITNESS_BOX)
     if witness is None:
-        payload = {"witness": None, "domain": repr(domain), "box": list(box)}
+        payload = {"witness": None, "domain": repr(domain), "box": box}
         _emit(args, payload, ["power associative over the probe box (no witness found)"])
     else:
         payload = {
@@ -440,7 +440,7 @@ def cmd_power_assoc(args):
                 "rhs": [domain.to_json(c) for c in witness.rhs],
             },
             "domain": repr(domain),
-            "box": list(box),
+            "box": box,
         }
         _emit(
             args,
@@ -647,7 +647,6 @@ def build_parser():
     p = sub.add_parser("power-assoc", help="search for a power-associativity violation")
     p.add_argument("file")
     p.add_argument("--domain", default="Q")
-    p.add_argument("--box", default=",".join(map(str, DEFAULT_WITNESS_BOX)))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_power_assoc)
 

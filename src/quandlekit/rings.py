@@ -100,15 +100,15 @@ class PowerAssocWitness:
     rhs: tuple
 
 
-def power_assoc_witness(x, domain, box=DEFAULT_WITNESS_BOX):
-    """Search u = a*e_i + b*e_j (i != j, a,b in the box) for an Albert
-    identity violation; None when every probe passes.
+def power_assoc_witness(x, domain):
+    """Search u = a*e_i + b*e_j (i != j, a,b in `DEFAULT_WITNESS_BOX`) for
+    an Albert identity violation; None when every probe passes.
 
     Violations are expected for every non-trivial quandle when the
     characteristic is not 2 or 3; the search itself runs for any domain.
     """
     ring = quandle_ring(x, domain)
-    coeffs = [domain.coerce(c) for c in box]
+    coeffs = [domain.coerce(c) for c in DEFAULT_WITNESS_BOX]
     for i in range(x.n):
         for j in range(x.n):
             if i == j:
@@ -295,7 +295,10 @@ def find_ring_isomorphism(r1, r2, budget=DEFAULT_ISO_BUDGET):
             cols[j] = None
         return None
 
-    matrix = search({i: pools[key] for i, key in enumerate(keys)})
+    try:
+        matrix = search({i: pools[key] for i, key in enumerate(keys)})
+    finally:
+        del search  # it refers to itself: unlink it so the search state is freed now
     if matrix is not None and not is_ring_isomorphism(r1, r2, matrix):
         raise RuntimeError("ring isomorphism search returned a map that is not one")
     return matrix

@@ -28,38 +28,25 @@ def compose(f, g):
     return tuple(f[x] for x in g)
 
 
-def identity(n):
-    return tuple(range(n))
-
-
-@dataclass(frozen=True)
-class GeneratedSemigroup:
-    """Maps closed under composition and the generators they came from (groups too)."""
-
-    generators: tuple
-    elements: frozenset
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def _closure(gens, with_identity, cap):
-    """Breadth-first closure under composition.
-
-    For permutation generators of a finite set this also yields closure
-    under inverses, since every element has finite order.
+def _closure(gens, cap):
+    """The rank-m part of the semigroup gens generate, m the largest rank
+    in gens: breadth-first from the rank-m generators, dropping products of
+    lower rank.  Composing never raises rank, so every factor and partial
+    product of a rank-m element has rank m and the search reaches it.  For
+    permutations nothing is dropped: this is the group gens generate, with
+    the identity, as each element has finite order.  CapacityError beyond
+    cap maps.
     """
-    gens = tuple(dict.fromkeys(gens))
+    m = max((len(set(g)) for g in gens), default=0)
+    gens = tuple(dict.fromkeys(g for g in gens if len(set(g)) == m))
     elements = set(gens)
-    if with_identity and gens:
-        elements.add(identity(len(gens[0])))
-    frontier = list(elements)
+    frontier = list(gens)
     while frontier:
         new = []
         for f in frontier:
             for g in gens:
                 h = compose(f, g)
-                if h not in elements:
+                if h not in elements and len(set(h)) == m:
                     elements.add(h)
                     new.append(h)
                     if len(elements) > cap:
@@ -69,7 +56,7 @@ def _closure(gens, with_identity, cap):
 
 
 def inner_group(x, cap=DEFAULT_CLOSURE_CAP):
-    """Inn(X): closure of the right translations under composition."""
+    """Inn(X) as a frozenset: the closure of the right translations."""
     gens = tuple(right_translation(x, j) for j in range(x.n))
     for g in gens:
         # axiom III makes every column an automorphism; cheap sanity assert
@@ -77,13 +64,7 @@ def inner_group(x, cap=DEFAULT_CLOSURE_CAP):
             for j in range(x.n):
                 if g[x.table[i][j]] != x.table[g[i]][g[j]]:
                     raise QuandleKitError("right translation is not an automorphism; not a quandle")
-    return GeneratedSemigroup(generators=gens, elements=frozenset(_closure(gens, True, cap)))
-
-
-def left_semigroup(x, cap=DEFAULT_CLOSURE_CAP):
-    """H_X: semigroup generated by the left translations (no identity added)."""
-    gens = tuple(left_translation(x, i) for i in range(x.n))
-    return GeneratedSemigroup(generators=gens, elements=frozenset(_closure(gens, False, cap)))
+    return frozenset(_closure(gens, cap))
 
 
 def restricted_action(elements, subset):
@@ -159,25 +140,24 @@ def is_right_orbit_2transitive(x):
 
 
 def is_left_peak_2transitive(x):
-    """2-transitivity of the row semigroup H_X measured at its peak
-    idempotents, decided by `_peak_2transitive` on the elements of H_X.
-
-    For a quandle whose rows generate a group this is plain
-    2-transitivity of that group on X.
-    """
-    return _peak_2transitive(left_semigroup(x).elements)
+    """2-transitivity of the row semigroup H_X at its peak idempotents,
+    decided on the rank-m part of H_X; for rows that generate a group,
+    plain 2-transitivity of that group on X."""
+    return _peak_2transitive(_closure([left_translation(x, i) for i in range(x.n)], DEFAULT_CLOSURE_CAP))
 
 
 def _peak_2transitive(elements):
     """Some idempotent of peak rank m has a 2-transitive maximal subgroup.
 
-    `elements` is a finite semigroup of self-maps; m is its largest rank.
-    An idempotent e of rank m fixes its image I, so the maximal subgroup
-    at e acts on I as f -> e.f restricted to I, for exactly those f that
-    keep all m points of I apart.  That action is a group action, so it is
-    2-transitive exactly when the images (e[f[a]], e[f[b]]) of one pair
-    a < b of I are all m(m-1) ordered pairs.  True when m < 2, False for
-    an empty semigroup.
+    `elements` holds the rank-m elements of a finite semigroup S of
+    self-maps, m the largest rank in S, and maybe others.  An idempotent e
+    of rank m fixes its image I, so the maximal subgroup at e acts on I as
+    f -> e.f restricted to I, for exactly those f that keep all m points
+    of I apart.  That action is a group action, so it is 2-transitive
+    exactly when the images (e[f[a]], e[f[b]]) of one pair a < b of I are
+    all m(m-1) ordered pairs.  Only rank-m elements are read, since
+    |e.f(I)| = m forces rank f = m: the `_closure` of S's generators gives
+    the answer of all of S.  True when m < 2, False for no elements.
     """
     if not elements:
         return False
@@ -200,39 +180,20 @@ def _peak_2transitive(elements):
     return False
 
 
-def _is_full_cycle_off_fixed_point(f, x, n):
-    """True iff f fixes x and acts as a single (n-1)-cycle on the rest."""
-    if f[x] != x:
-        return False
-    if n <= 1:
-        return True
-    start = 0 if x != 0 else 1
-    seen = 1
-    cur = f[start]
-    while cur != start:
-        if cur == x:
-            return False
-        seen += 1
-        if seen > n:
-            return False
-        cur = f[cur]
-    return seen == n - 1
-
-
 def is_right_cyclic_type(x):
     """Every R_j is an (n-1)-cycle on the complement of j."""
-    return all(_is_full_cycle_off_fixed_point(right_translation(x, j), j, x.n) for j in range(x.n))
+    return all(_is_cycle_off(right_translation(x, j), j) for j in range(x.n))
 
 
 def is_left_cyclic_type(x):
     """Every L_i is a bijection acting as an (n-1)-cycle off i."""
-    for i in range(x.n):
-        f = left_translation(x, i)
-        if len(set(f)) != x.n:
-            return False
-        if not _is_full_cycle_off_fixed_point(f, i, x.n):
-            return False
-    return True
+    rows = [left_translation(x, i) for i in range(x.n)]
+    return all(len(set(f)) == x.n and _is_cycle_off(f, i) for i, f in enumerate(rows))
+
+
+def _is_cycle_off(f, j):
+    """The permutation f fixes j and is one cycle on the other points."""
+    return f[j] == j and max(_cycle_lengths(f)) == max(len(f) - 1, 1)
 
 
 @dataclass(frozen=True)
@@ -422,7 +383,7 @@ def _cycle_type_reps(n):
 def enumerate_quandles(n, bound=DEFAULT_ENUM_BOUND):
     """All isomorphism classes of quandles of order n, as canonical
     representatives sorted by table; PreconditionError when n or bound is
-    below 1, CapacityError when n exceeds bound.
+    below 1, CapacityError when n exceeds bound or `CANONICAL_MAX_N`.
 
     Calls with different bounds share one cached search per n, described
     at `_enumerate`.
@@ -431,8 +392,9 @@ def enumerate_quandles(n, bound=DEFAULT_ENUM_BOUND):
         raise PreconditionError(
             "enumeration needs n >= 1 and bound >= 1 (got n = %d, bound = %d)" % (n, bound)
         )
-    if n > bound:
-        raise CapacityError("enumeration bounded at n = %d (requested %d)" % (bound, n))
+    limit = min(bound, CANONICAL_MAX_N)
+    if n > limit:
+        raise CapacityError("enumeration bounded at n = %d (requested %d)" % (limit, n))
     return _enumerate(n)
 
 

@@ -1,6 +1,8 @@
 import builtins
 import gc
+import itertools
 import json
+import math
 import sys
 
 import pytest
@@ -48,6 +50,27 @@ def test_make_and_check_roundtrip(tmp_path, capsys):
     assert "latin: True" in stdout
 
 
+def symmetric_group_cayley(k):
+    """Cayley table of S_k, elements in lexicographic order."""
+    perms = list(itertools.permutations(range(k)))
+    index = {f: i for i, f in enumerate(perms)}
+    return [[index[tuple(f[x] for x in g)] for g in perms] for f in perms]
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_check_conjugation_quandle_of_symmetric_group(tmp_path, capsys, k):
+    # the peak-rank part of H_X is 8 maps for Conj(S_4) and 30 for
+    # Conj(S_5), out of 40,076 maps of H_X for Conj(S_4)
+    cayley = write_json(tmp_path / "s.json", {"table": symmetric_group_cayley(k)})
+    out = tmp_path / "conj.json"
+    assert run(capsys, "make", "conj", cayley, "-o", str(out))[0] == 0
+    code, stdout, _ = run(capsys, "check", str(out), "--json")
+    assert code == 0
+    doc = json.loads(stdout)["outputs"]
+    assert doc["n"] == math.factorial(k)
+    assert doc["left2t"] is False
+
+
 def test_check_json_output(tmp_path, capsys):
     out = tmp_path / "t3.json"
     run(capsys, "make", "trivial", "3", "-o", str(out))
@@ -72,9 +95,7 @@ def test_non_integer_parameters_are_bad_parameters(tmp_path, capsys):
     code, _, err = run(capsys, "make", "dihedral", "five")
     assert code == 2
     assert "'five'" in err
-    path = tmp_path / "t2.json"
-    run(capsys, "make", "trivial", "2", "-o", str(path))
-    code, _, err = run(capsys, "power-assoc", str(path), "--box", "1,x")
+    code, _, err = run(capsys, "make", "alexander", "5", "x")
     assert code == 2
     assert "'x'" in err
 
@@ -161,6 +182,12 @@ def test_exit_code_capacity(capsys):
     code, _, err = run(capsys, "enumerate", "9")
     assert code == 5
     assert "capacity" in err
+
+
+def test_enumerate_above_canonical_limit_exits_at_once(capsys):
+    code, _, err = run(capsys, "enumerate", "9", "--bound", "9")
+    assert code == 5
+    assert "bounded at n = 8" in err
 
 
 @pytest.mark.parametrize("argv", [["0"], ["-1"], ["3", "--bound", "0"]])
@@ -260,6 +287,16 @@ def test_power_assoc_witness_found(tmp_path, capsys):
     assert code == 0
     doc = json.loads(stdout)
     assert doc["outputs"]["witness"] is not None
+    assert doc["outputs"]["box"] == list(DEFAULT_WITNESS_BOX)
+
+
+def test_power_assoc_has_no_box_option(tmp_path, capsys):
+    path = tmp_path / "r3.json"
+    run(capsys, "make", "dihedral", "3", "-o", str(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["power-assoc", str(path), "--domain", "Q", "--box", "0"])
+    assert exc.value.code == 2
+    assert "--box" in capsys.readouterr().err
 
 
 def test_power_assoc_none_for_trivial(tmp_path, capsys):
@@ -470,8 +507,6 @@ def test_main_calls_leave_no_reference_cycles(capsys):
 def test_defaults_come_from_library_constants():
     parser = cli.build_parser()
     assert parser.parse_args(["enumerate", "3"]).bound == DEFAULT_ENUM_BOUND
-    box = parser.parse_args(["power-assoc", "q.json"]).box
-    assert tuple(int(v) for v in box.split(",")) == DEFAULT_WITNESS_BOX
 
 
 def test_union_make(tmp_path, capsys):

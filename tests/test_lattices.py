@@ -217,7 +217,7 @@ def test_verify_decomposition_r5_over_q_unknown():
     assert report.entries[0].invariant
     assert report.entries[0].simple == "unknown"
     # Inn(R_5) = D_5 has two orbits on the 20 ordered pairs of distinct points
-    assert oracle_pair_orbit_count(list(inner_group(dihedral_quandle(5)).elements), 5) == 2
+    assert oracle_pair_orbit_count(list(inner_group(dihedral_quandle(5))), 5) == 2
 
 
 def test_verify_decomposition_order3_over_q():

@@ -1,5 +1,5 @@
-"""Differential tests of the pair-digraph kernel and the peak
-2-transitivity predicate against the searches they replaced.
+"""Differential tests of the pair-digraph kernel, the rank-m closure and
+the peak 2-transitivity predicate against the searches they replaced.
 
 ``reaches_every_pair`` decides 2-transitivity by two searches of the
 digraph on ordered pairs of distinct points, one forward and one
@@ -8,9 +8,12 @@ implementations: a depth-first orbit count for groups, a breadth-first
 reachability set from every pair for semigroups, and the one-step image
 check for collections closed under composition.  They are quadratic in
 the number of pairs and stay here only as references for small inputs.
-``oracle_maximal_subgroups`` finds the units of eSe at every idempotent by
-a pairwise search for inverses, quadratic in |eSe|; the peak predicate is
-checked against the one-step check on the subgroups it finds.
+``oracle_closure`` is the whole semigroup the maps generate, by a
+breadth-first search that keeps every product; ``_closure`` keeps only the
+products of peak rank.  ``oracle_maximal_subgroups`` finds the units of
+eSe at every idempotent by a pairwise search for inverses, quadratic in
+|eSe|; the peak predicate is checked against the one-step check on the
+subgroups it finds.
 """
 
 import itertools
@@ -33,19 +36,40 @@ from quandlekit.quandles import (
 )
 from quandlekit.symmetry import (
     DEFAULT_CLOSURE_CAP,
-    GeneratedSemigroup,
     _closure,
     _peak_2transitive,
     compose,
     enumerate_quandles,
+    inner_group,
     is_left_2transitive,
     is_left_peak_2transitive,
     is_right_2transitive,
     is_right_orbit_2transitive,
-    left_semigroup,
     reaches_every_pair,
     restricted_action,
 )
+
+
+def oracle_closure(gens):
+    """The semigroup generated by gens: breadth-first, every product kept."""
+    elements = set(gens)
+    frontier = list(elements)
+    while frontier:
+        new = []
+        for f in frontier:
+            for g in gens:
+                h = compose(f, g)
+                if h not in elements:
+                    elements.add(h)
+                    new.append(h)
+        frontier = new
+    return elements
+
+
+def peak_part(elements):
+    """The elements of largest rank."""
+    m = max((len(set(f)) for f in elements), default=0)
+    return {f for f in elements if len(set(f)) == m}
 
 
 def oracle_pair_orbit_count(gens, m):
@@ -128,9 +152,9 @@ def oracle_right_orbit_2transitive(x):
 
 
 def oracle_maximal_subgroups(s):
-    """For each idempotent e of the semigroup, the group of units of eSe
+    """For each idempotent e of the semigroup s, the group of units of eSe
     restricted to the image of e (reindexed to image coordinates)."""
-    elements = sorted(s.elements)
+    elements = sorted(s)
     results = []
     for e in elements:
         if compose(e, e) != e:
@@ -145,15 +169,15 @@ def oracle_maximal_subgroups(s):
                     break
         image = sorted(set(e))
         restricted = restricted_action(sorted(units), image)
-        results.append((e, GeneratedSemigroup(generators=tuple(restricted), elements=frozenset(restricted))))
+        results.append((e, frozenset(restricted)))
     return results
 
 
 def oracle_peak_subgroups(s):
     """Element sets of `oracle_maximal_subgroups` at the idempotents of
     maximal rank, keyed by idempotent."""
-    maxrank = max((len(set(f)) for f in s.elements), default=0)
-    return {e: group.elements for e, group in oracle_maximal_subgroups(s) if len(set(e)) == maxrank}
+    maxrank = max((len(set(f)) for f in s), default=0)
+    return {e: group for e, group in oracle_maximal_subgroups(s) if len(set(e)) == maxrank}
 
 
 def oracle_peak_2transitive(s):
@@ -167,7 +191,7 @@ def oracle_peak_2transitive(s):
 def oracle_left_peak_2transitive(x):
     if x.n <= 1:
         return True
-    return oracle_peak_2transitive(left_semigroup(x))
+    return oracle_peak_2transitive(oracle_closure([left_translation(x, i) for i in range(x.n)]))
 
 
 def relabel(q, rng):
@@ -243,9 +267,27 @@ def test_left_peak_matches_oracle():
         assert is_left_peak_2transitive(q) == oracle_left_peak_2transitive(q), q.table
 
 
+def test_closure_is_peak_part_of_oracle_on_quandles():
+    for q in small_quandles() + family_quandles():
+        rows = [left_translation(q, i) for i in range(q.n)]
+        assert _closure(rows, DEFAULT_CLOSURE_CAP) == peak_part(oracle_closure(rows)), q.table
+        columns = [right_translation(q, j) for j in range(q.n)]
+        assert inner_group(q) == oracle_closure(columns), q.table
+
+
+def conj_s4():
+    return conjugation_quandle(cayley_table([(1, 0, 2, 3), (1, 2, 3, 0)]))
+
+
+def test_closure_of_conj_s4_rows_is_small():
+    # H_X has 40,076 elements here; its peak-rank part has 8
+    q = conj_s4()
+    assert len(_closure([left_translation(q, i) for i in range(q.n)], DEFAULT_CLOSURE_CAP)) == 8
+
+
 def test_left_peak_of_conj_s4_is_fast():
     # the pairwise unit search took about 264 s here
-    q = conjugation_quandle(cayley_table([(1, 0, 2, 3), (1, 2, 3, 0)]))
+    q = conj_s4()
     start = time.perf_counter()
     assert is_left_peak_2transitive(q) is False
     assert time.perf_counter() - start < 30
@@ -288,8 +330,18 @@ def test_pair_01_reaching_every_pair_is_not_enough():
 @given(st.integers(1, 4).flatmap(map_sets))
 def test_peak_subgroups_of_random_semigroups(case):
     m, gens = case
-    s = GeneratedSemigroup(tuple(gens), frozenset(_closure(gens, False, DEFAULT_CLOSURE_CAP)))
-    assert _peak_2transitive(s.elements) == oracle_peak_2transitive(s)
+    s = oracle_closure(gens)
+    assert _peak_2transitive(s) == oracle_peak_2transitive(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(map_sets))
+def test_closure_is_peak_part_of_oracle_closure(case):
+    m, gens = case
+    s = oracle_closure(gens)
+    peak = _closure(gens, DEFAULT_CLOSURE_CAP)
+    assert peak == peak_part(s)
+    assert _peak_2transitive(peak) == _peak_2transitive(s)
 
 
 def test_peak_2transitive_basics():

@@ -7,6 +7,7 @@ lexicographic order, so it stays here only as a reference for
 dimension <= 3.
 """
 
+import gc
 import itertools
 
 import pytest
@@ -17,7 +18,7 @@ from quandlekit.counterexamples import PAIR4_X, PAIR4_Y, PAIR7_X, PAIR7_Y
 from quandlekit.domains import GF, QQ
 from quandlekit.errors import DomainMismatchError, PreconditionError
 from quandlekit.linalg import field_rank
-from quandlekit.quandles import Quandle, trivial_quandle
+from quandlekit.quandles import Quandle, dihedral_quandle, trivial_quandle
 from quandlekit.rings import (
     BasedRing,
     direct_sum,
@@ -119,6 +120,23 @@ def test_search_recovers_relabelings(data):
                 r1, r2 = quandle_ring(q, GF(p)), quandle_ring(moved, GF(p))
                 found = find_ring_isomorphism(r1, r2)
                 assert found is not None and is_ring_isomorphism(r1, r2, found)
+
+
+def test_search_leaves_no_reference_cycles():
+    # the recursive search is unlinked on return, so refcounting frees its
+    # state and the cyclic collector finds nothing to do
+    r3 = quandle_ring(dihedral_quandle(3), GF(3))
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_ring_isomorphism(r3, r3) is not None
+        assert gc.collect() == 0
+        assert find_ring_isomorphism(quandle_ring(PAIR4_X, GF(3)), quandle_ring(PAIR4_Y, GF(3))) is not None
+        assert gc.collect() == 0
+        assert find_ring_isomorphism(quandle_ring(PAIR4_X, GF(2)), quandle_ring(PAIR4_Y, GF(2))) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_search_needs_squares_on_the_diagonal():

@@ -4,17 +4,24 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_pair_kernel import oracle_closure, small_quandles
 
+from quandlekit import symmetry
 from quandlekit.errors import CapacityError, NotInvariantError, QuandleKitError
 from quandlekit.quandles import (
     Quandle,
     dihedral_quandle,
     disjoint_union,
+    left_translation,
     orbits,
     partition_type,
+    right_translation,
     trivial_quandle,
 )
 from quandlekit.symmetry import (
+    DEFAULT_CLOSURE_CAP,
+    _closure,
+    _is_cycle_off,
     canonical_form,
     compose,
     enumerate_quandles,
@@ -25,7 +32,6 @@ from quandlekit.symmetry import (
     is_right_2transitive,
     is_right_cyclic_type,
     is_right_orbit_2transitive,
-    left_semigroup,
     quandle_polynomial,
     quandles_isomorphic,
     _enumerate,
@@ -48,21 +54,32 @@ def test_inner_group_sizes():
     assert len(inner_group(dihedral_quandle(5))) == 10
 
 
+def rows(x):
+    return [left_translation(x, i) for i in range(x.n)]
+
+
 def test_left_semigroup_of_trivial_is_constants():
-    h = left_semigroup(trivial_quandle(3))
-    assert h.elements == frozenset({(0, 0, 0), (1, 1, 1), (2, 2, 2)})
+    assert _closure(rows(trivial_quandle(3)), DEFAULT_CLOSURE_CAP) == {(0, 0, 0), (1, 1, 1), (2, 2, 2)}
 
 
 def test_left_semigroup_of_latin_is_all_permutations():
-    h = left_semigroup(dihedral_quandle(5))
-    assert all(len(set(f)) == 5 for f in h.elements)
+    h = _closure(rows(dihedral_quandle(5)), DEFAULT_CLOSURE_CAP)
+    assert all(len(set(f)) == 5 for f in h)
+    assert h == oracle_closure(rows(dihedral_quandle(5)))
 
 
 def test_closure_is_fixpoint():
-    h = left_semigroup(ONE_SWAP)
-    for f in h.elements:
-        for g in h.elements:
-            assert compose(f, g) in h.elements
+    # a product of two peak-rank elements is one of them or drops rank
+    for q in enumerate_quandles(4) + (ONE_SWAP,):
+        h = _closure(rows(q), DEFAULT_CLOSURE_CAP)
+        m = max(len(set(f)) for f in h)
+        for f in h:
+            for g in h:
+                assert compose(f, g) in h or len(set(compose(f, g))) < m
+
+
+def test_closure_of_no_maps_is_empty():
+    assert _closure([], DEFAULT_CLOSURE_CAP) == set()
 
 
 def test_closure_capacity():
@@ -108,6 +125,45 @@ def test_cyclic_type():
     assert is_left_cyclic_type(dihedral_quandle(3))
     assert is_left_cyclic_type(dihedral_quandle(5))
     assert not is_left_cyclic_type(ONE_SWAP)
+
+
+def oracle_full_cycle_off_fixed_point(f, x, n):
+    """True iff f fixes x and acts as a single (n-1)-cycle on the rest."""
+    if f[x] != x:
+        return False
+    if n <= 1:
+        return True
+    start = 0 if x != 0 else 1
+    seen = 1
+    cur = f[start]
+    while cur != start:
+        if cur == x:
+            return False
+        seen += 1
+        if seen > n:
+            return False
+        cur = f[cur]
+    return seen == n - 1
+
+
+def test_cycle_off_matches_oracle_on_every_permutation():
+    pairs = 0
+    for n in range(1, 8):
+        for f in itertools.permutations(range(n)):
+            for j in range(n):
+                assert _is_cycle_off(f, j) == oracle_full_cycle_off_fixed_point(f, j, n), (f, j)
+                pairs += 1
+    assert pairs == 40319
+
+
+def test_cyclic_types_match_oracle_on_small_quandles():
+    for q in small_quandles():
+        right = all(oracle_full_cycle_off_fixed_point(right_translation(q, j), j, q.n) for j in range(q.n))
+        left = all(
+            len(set(f)) == q.n and oracle_full_cycle_off_fixed_point(f, i, q.n) for i, f in enumerate(rows(q))
+        )
+        assert is_right_cyclic_type(q) == right, q.table
+        assert is_left_cyclic_type(q) == left, q.table
 
 
 def test_right_2transitive_implies_right_cyclic():
@@ -190,6 +246,15 @@ def test_enumeration_counts_small():
 def test_enumeration_bound():
     with pytest.raises(CapacityError):
         enumerate_quandles(8)
+
+
+def test_enumeration_above_canonical_limit_refused_before_search(monkeypatch):
+    def no_search(n):
+        raise AssertionError("searched order %d" % n)
+
+    monkeypatch.setattr(symmetry, "_enumerate", no_search)
+    with pytest.raises(CapacityError, match="bounded at n = 8"):
+        enumerate_quandles(9, bound=9)
 
 
 def test_enumeration_pairwise_non_isomorphic():
