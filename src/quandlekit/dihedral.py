@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .domains import GF, ZZ, _is_prime
 from .errors import PreconditionError, QuandleKitError
-from .lattices import _spin, delta_powers, quotient_shape
+from .lattices import _spin, delta_powers, quotient_shape, span
 from .linalg import rref
 from .quandles import dihedral_quandle, inner_moves
 
@@ -260,35 +260,18 @@ class ComplexDecompositionReport:
         }
 
 
-def _eigenvalue(p, move, row):
-    """The c in F_p with row moved by move equal to c * row, or None."""
-    moved = [0] * len(row)
-    for v, k in zip(row, move):
-        moved[k] = v
-    i = next(i for i, v in enumerate(row) if v % p)
-    c = moved[i] * pow(row[i], -1, p) % p
-    return c if all((a - c * b) % p == 0 for a, b in zip(moved, row)) else None
-
-
-def _summand_check(domain, moves, rotation, rows):
+def _summand_check(domain, moves, rows):
     """(dim, invariant, simple) for the span of the rows over F_p.
 
     The span is invariant when spinning the rows up under the moves does
-    not grow it, and an invariant line is simple.  An invariant plane
-    spanned by two eigenvectors of the rotation with distinct eigenvalues
-    has no other rotation-stable line, so it is simple exactly when each
-    row alone spins up to all of it.  A plane the certificate does not
-    cover is a fault in the caller, not a verdict.
+    not grow it, and an invariant span is simple when
+    `meataxe._irreducible` finds no proper nonzero invariant subspace in it.
     """
-    basis = tuple(rref(rows, domain))
-    invariant = _spin(domain, rows, moves)[0] == basis
-    if not invariant or len(basis) == 1:
-        return len(basis), invariant, invariant
-    if len(rows) == len(basis) == 2:
-        eigenvalues = {_eigenvalue(domain.char, rotation, row) for row in rows}
-        if None not in eigenvalues and len(eigenvalues) == 2:
-            return 2, True, all(_spin(domain, [row], moves)[0] == basis for row in rows)
-    raise RuntimeError("no eigenvector certificate for the plane %r" % (rows,))
+    from .meataxe import _irreducible  # loaded on first use, as in lattices
+
+    sub = span(len(rows[0]), domain, rows)
+    invariant = _spin(domain, rows, moves)[0] == sub.basis
+    return sub.rank, invariant, invariant and _irreducible(domain, moves, sub)[0]
 
 
 def _root_of_unity(m, p):
@@ -323,7 +306,6 @@ def complex_decomposition_check(n):
     p = next(q for q in itertools.count(step + 1, step) if _is_prime(q))
     domain, xi = GF(p), _root_of_unity(m, p)
     moves = inner_moves(x)
-    rotation = [x.table[x.table[i][0]][1] for i in range(n)]
 
     def row_on(orb, value):
         row = [0] * n
@@ -342,6 +324,6 @@ def complex_decomposition_check(n):
                 plane = [row_on(orb, lambda t, e=e: pow(xi, e * t, p)) for e in (j, m - j)]
                 parts.append(("plane%d%s" % (j, tag), plane))
         for label, part in parts:
-            summands.append(ComplexSummand(label, *_summand_check(domain, moves, rotation, part)))
+            summands.append(ComplexSummand(label, *_summand_check(domain, moves, part)))
             rows += part
     return ComplexDecompositionReport(n=n, prime=p, summands=tuple(summands), total_dim=len(rref(rows, domain)))

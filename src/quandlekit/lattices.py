@@ -12,12 +12,14 @@ R_j is a quandle automorphism, so v -> v * e_j is a ring automorphism
 that keeps the augmentation, and every power Delta^k of the augmentation
 ideal is closed under Inn(X).  Ideals and powers alike are spun up
 (``_spin``) afresh on every call, with no cache.
+
+Whether an orbit summand over F_p is simple is decided by Norton's
+irreducibility test, in `meataxe`, which a call imports on first use.
 """
 
-import itertools
 from dataclasses import dataclass
 
-from .domains import ZZ
+from .domains import GF, ZZ, _is_prime
 from .errors import (
     ContainmentError,
     DomainMismatchError,
@@ -236,6 +238,11 @@ class OrbitSummandReport:
     dim_triv: int
     dim_st: int
     simple: object  # True / False / "unknown"
+    # reduced basis of a proper nonzero invariant subspace when not simple
+    # over F_p, and over Q the prime l when the summand was found simple
+    # by reduction mod l; neither is written by to_json
+    witness: tuple = None
+    reduction_prime: int = None
     # each R_j maps every orbit onto itself, so both summands of an orbit
     # are always right ideals
     invariant = True
@@ -259,18 +266,8 @@ class DecompositionReport:
         return {"verdict": self.verdict, "orbits": [e.to_json() for e in self.entries]}
 
 
-def _simple_by_spinup(domain, moves, sub, p):
-    """Over a prime field: every nonzero vector must spin up to the whole
-    summand under the moves.  A vector and its nonzero multiples spin up
-    to the same subspace, so only the combinations of the basis rows whose
-    first nonzero coefficient is 1 are tried."""
-    for coeffs in itertools.product(range(p), repeat=sub.rank):
-        if next((c for c in coeffs if c), 0) != 1:
-            continue
-        v = [sum(c * row[i] for c, row in zip(coeffs, sub.basis)) for i in range(sub.ambient_dim)]
-        if _spin(domain, [v], moves)[0] != sub.basis:
-            return False
-    return True
+# the primes l tried by the reduction mod l over Q
+_REDUCTION_PRIMES = tuple(l for l in range(2, 50) if _is_prime(l))
 
 
 def verify_simple_decomposition(x, domain):
@@ -279,27 +276,43 @@ def verify_simple_decomposition(x, domain):
     possible.
 
     Both summands are right ideals, and the indicator line is simple.
-    Over a prime field the augmentation-zero summand is simple when every
-    nonzero vector spins up to all of it under Inn(X).  Over characteristic
-    zero a 2-transitive restricted orbit action decides the positive case;
+    Over a prime field `meataxe._irreducible` decides the augmentation-zero
+    summand, and a summand that is not simple carries its witness.  Over
+    characteristic zero a 2-transitive restricted orbit action decides the
+    positive case, and otherwise reduction mod a prime l < 50 may: the
+    integer span L of the e_v - e_o on the orbit is Inn(X)-stable, and a
+    proper nonzero submodule U over Q would make U cap L a pure invariant
+    sublattice of L, whose reduction is a proper nonzero submodule of
+    L (x) F_l.  So L (x) F_l simple for one l makes the summand simple;
     anything else is reported as unknown.
 
     Over Z there is nothing to certify: `orbit_summands` refuses Z, and
     no nonzero lattice W is simple, as 2W lies in W.
     """
+    from .meataxe import _irreducible  # loaded on first use: most commands decide no simplicity
+
     summands = orbit_summands(x, domain)
     char = domain.char
     moves = inner_moves(x)
     entries = []
     for orb, v_triv, v_st in summands:
+        witness = prime = None
         if len(orb) == 1:
             simple = True  # nothing beyond the trivial summand
         elif char:
-            simple = _simple_by_spinup(domain, moves, v_st, char)
+            simple, witness = _irreducible(domain, moves, v_st)
+        elif reaches_every_pair(restricted_action(moves, orb), len(orb)):
+            simple = True
         else:
-            simple = True if reaches_every_pair(restricted_action(moves, orb), len(orb)) else "unknown"
+            # the reduced basis of the summand, rows e_v - e_z, is a Z-basis of L
+            lifts = (l for l in _REDUCTION_PRIMES if _irreducible(GF(l), moves, span(x.n, GF(l), v_st.basis))[0])
+            prime = next(lifts, None)
+            simple = True if prime else "unknown"
         entries.append(
-            OrbitSummandReport(orbit=tuple(orb), dim_triv=v_triv.rank, dim_st=v_st.rank, simple=simple)
+            OrbitSummandReport(
+                orbit=tuple(orb), dim_triv=v_triv.rank, dim_st=v_st.rank, simple=simple,
+                witness=witness, reduction_prime=prime,
+            )
         )
     if all(e.simple is True for e in entries):
         verdict = "verified"

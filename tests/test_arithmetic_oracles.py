@@ -12,7 +12,13 @@ The oracles are the earlier implementations, kept here for small inputs:
   freshly built basis vectors, for both sides;
 - ``oracle_verify_simple_decomposition``: the per-orbit report with
   multiply-based invariance and exhaustive spin-up of both summands from
-  every nonzero vector;
+  every nonzero vector (``oracle_simple_by_spinup``);
+- ``oracle_spins_to_all``: the same exhaustive spin-up, each vector moved
+  by every R_j as a permutation of coordinates, fast enough for summands
+  of a few ten thousand vectors; the oracle for ``meataxe._irreducible``;
+- ``oracle_is_proper_submodule``: the check of a ``not-simple`` witness,
+  a nonzero subspace of the summand, smaller than it and closed under
+  every R_j;
 - ``oracle_hnf``: the integer HNF that swept every row at each column,
   pivoting on the smallest nonzero absolute value;
 - ``oracle_delta_powers``: each Delta^k as one reduction (``oracle_hnf``
@@ -41,11 +47,13 @@ from quandlekit.lattices import (
     verify_simple_decomposition,
 )
 from quandlekit.linalg import hermite_normal_form, lattice_contains, rref
+from quandlekit.meataxe import _irreducible
 from quandlekit.quandles import (
     alexander_quandle,
     conjugation_quandle,
     dihedral_quandle,
     disjoint_union,
+    inner_moves,
     orbits,
     right_translation,
 )
@@ -191,10 +199,28 @@ def oracle_generated_ideal(ring, generators, side):
         current = nxt
 
 
+def oracle_simple_by_spinup(ring, basis):
+    """Every nonzero vector of the span of the basis rows over F_p
+    generates it as a right ideal."""
+    domain = ring.domain
+    ops = ScalarOps(domain)
+    if not basis:
+        return False
+    for coeffs in itertools.product(range(domain.char), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        v = [domain.zero] * ring.dim
+        for c, row in zip(coeffs, basis):
+            for i, e in enumerate(row):
+                v[i] = ops.add(v[i], ops.mul(domain.coerce(c), e))
+        if oracle_generated_ideal(ring, [v], "right") != basis:
+            return False
+    return True
+
+
 def oracle_verify_simple_decomposition(x, domain):
     """(verdict, [(orbit, dim_triv, dim_st, invariant, simple)])."""
     ring = quandle_ring(x, domain)
-    ops = ScalarOps(domain)
     char = domain.char
 
     def invariant(basis):
@@ -203,20 +229,6 @@ def oracle_verify_simple_decomposition(x, domain):
             for v in basis
             for j in range(x.n)
         )
-
-    def simple_by_spinup(basis):
-        if not basis:
-            return False
-        for coeffs in itertools.product(range(char), repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            v = [domain.zero] * x.n
-            for c, row in zip(coeffs, basis):
-                for i, e in enumerate(row):
-                    v[i] = ops.add(v[i], ops.mul(domain.coerce(c), e))
-            if oracle_generated_ideal(ring, [v], "right") != basis:
-                return False
-        return True
 
     translations = [right_translation(x, j) for j in range(x.n)]
     entries = []
@@ -236,20 +248,86 @@ def oracle_verify_simple_decomposition(x, domain):
         elif len(orb) == 1:
             simple = True
         elif char:
-            simple = simple_by_spinup(v_triv) and simple_by_spinup(v_st)
+            simple = oracle_simple_by_spinup(ring, v_triv) and oracle_simple_by_spinup(ring, v_st)
         else:
             gens = restricted_action(translations, orb)
             simple = True if oracle_pair_orbit_count(gens, len(orb)) == 1 else "unknown"
         entries.append((tuple(orb), len(v_triv), len(v_st), inv, simple))
+    return oracle_verdict(entries), entries
+
+
+def oracle_verdict(entries):
     if any(not e[3] for e in entries):
-        verdict = "failed"
-    elif all(e[4] is True for e in entries):
-        verdict = "verified"
-    elif any(e[4] is False for e in entries):
-        verdict = "not-simple"
-    else:
-        verdict = "inconclusive"
-    return verdict, entries
+        return "failed"
+    if all(e[4] is True for e in entries):
+        return "verified"
+    if any(e[4] is False for e in entries):
+        return "not-simple"
+    return "inconclusive"
+
+
+def augmentation_rows(x, orb):
+    """The e_v - e_o, v in the orbit, o its first element."""
+    return [[int(k == v) - int(k == orb[0]) for k in range(x.n)] for v in orb[1:]]
+
+
+def right_translations(x):
+    """Every R_j as a tuple of images: v * e_j moves coordinate i to i > j."""
+    return [tuple(row[j] for row in x.table) for j in range(x.n)]
+
+
+def moved_by(perm, v):
+    out = [0] * len(v)
+    for i, a in enumerate(v):
+        out[perm[i]] = a
+    return out
+
+
+def oracle_spins_to_all(perms, p, basis):
+    """Every nonzero vector of the span of the basis rows over F_p spins up
+    to all of it under the permutations; one vector per line through 0 is
+    tried, and a spin-up stops once it has the full rank."""
+    d = len(basis)
+
+    def spin_rank(v):
+        rows = []  # (pivot, row), each row cleared at the earlier pivots
+
+        def insert(w):
+            for c, row in rows:
+                if w[c]:
+                    w = [(a - w[c] * b) % p for a, b in zip(w, row)]
+            c = next((c for c, a in enumerate(w) if a), None)
+            if c is not None:
+                inv = pow(w[c], -1, p)
+                rows.append((c, [a * inv % p for a in w]))
+            return c is not None
+
+        stack = [v] if insert(v) else []
+        while stack and len(rows) < d:
+            u = stack.pop()
+            for perm in perms:
+                w = moved_by(perm, u)
+                if insert(w):
+                    stack.append(w)
+        return len(rows)
+
+    for coeffs in itertools.product(range(p), repeat=d):
+        if next((c for c in coeffs if c), 0) == 1:
+            v = [sum(c * row[i] for c, row in zip(coeffs, basis)) % p for i in range(len(basis[0]))]
+            if spin_rank(v) < d:
+                return False
+    return True
+
+
+def oracle_is_proper_submodule(perms, domain, summand, witness):
+    """The witness rows span a nonzero subspace of the summand, smaller
+    than it, that each of the permutations maps into itself."""
+    witness = [list(w) for w in witness]
+    return (
+        0 < len(oracle_rref(witness, domain)) < len(summand)
+        and all(oracle_field_in_span(list(summand), w, domain) for w in witness)
+        and all(oracle_field_in_span(witness, moved_by(perm, w), domain) for w in witness for perm in perms)
+    )
 
 
 def matrices(draw, domain, ncols):
@@ -312,10 +390,68 @@ def test_decomposition_matches_parent_on_order_le5(p):
 
 
 def test_decomposition_matches_parent_over_q():
+    """The parent's verdicts, except that a summand it left unknown may be
+    simple by reduction mod l: exhaustive spin-up over F_l of the span of
+    the e_v - e_o must then confirm it."""
+    reduced = 0
     for q in SMALL_QUANDLES:
         report = verify_simple_decomposition(q, QQ)
         got = [(e.orbit, e.dim_triv, e.dim_st, e.invariant, e.simple) for e in report.entries]
-        assert (report.verdict, got) == oracle_verify_simple_decomposition(q, QQ)
+        _, want = oracle_verify_simple_decomposition(q, QQ)
+        for k, e in enumerate(report.entries):
+            if e.reduction_prime is not None:
+                domain = GF(e.reduction_prime)
+                assert want[k][4] == "unknown"
+                assert oracle_simple_by_spinup(quandle_ring(q, domain), oracle_reduce(domain, augmentation_rows(q, e.orbit)))
+                want[k] = want[k][:4] + (True,)
+                reduced += 1
+        assert (report.verdict, got) == (oracle_verdict(want), want)
+    assert reduced > 0
+
+
+def test_not_simple_witnesses_are_proper_submodules():
+    """Over F_2..F_7, on every quandle of order at most 6, each summand is
+    decided, and each one that is not simple carries a witness that the
+    test-side check accepts."""
+    witnesses = 0
+    for q in [q for n in range(1, 7) for q in enumerate_quandles(n)]:
+        for p in (2, 3, 5, 7):
+            if any(len(orb) % p == 0 for orb in orbits(q)):
+                continue
+            domain = GF(p)
+            for e in verify_simple_decomposition(q, domain).entries:
+                assert e.simple in (True, False)
+                if e.simple:
+                    assert e.witness is None
+                    continue
+                summand = oracle_reduce(domain, augmentation_rows(q, e.orbit))
+                assert oracle_is_proper_submodule(right_translations(q), domain, summand, e.witness)
+                witnesses += 1
+    assert witnesses > 0
+
+
+IRREDUCIBLE_BASES = (
+    [dihedral_quandle(n) for n in range(3, 14)]
+    + [alexander_quandle(n, t) for n, t in ((5, 2), (7, 3), (8, 3), (9, 2), (11, 2), (13, 2))]
+    + [conjugation_quandle(dihedral_group(k)) for k in (3, 4, 5)]
+    + [disjoint_union(dihedral_quandle(3), dihedral_quandle(5))]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_irreducible_matches_exhaustive_spinup(data):
+    """Norton's test against one spin-up per line, on the span of the
+    e_v - e_o of an orbit of a relabeled quandle over F_p, p^dim <= 5 * 10^4;
+    a witness must pass the test-side check."""
+    q = relabel(data.draw(st.sampled_from(IRREDUCIBLE_BASES)), random.Random(data.draw(st.integers(0, 2**32))))
+    orb = data.draw(st.sampled_from([orb for orb in orbits(q) if len(orb) > 1]))
+    p = data.draw(st.sampled_from([p for p in (2, 3, 5, 7) if p ** (len(orb) - 1) <= 5 * 10**4]))
+    domain = GF(p)
+    summand = oracle_reduce(domain, augmentation_rows(q, orb))
+    simple, witness = _irreducible(domain, inner_moves(q), span(q.n, domain, augmentation_rows(q, orb)))
+    assert simple == oracle_spins_to_all(right_translations(q), p, summand)
+    assert witness is None if simple else oracle_is_proper_submodule(right_translations(q), domain, summand, witness)
 
 
 @st.composite

@@ -442,6 +442,26 @@ def test_decompose_file_mode(tmp_path, capsys):
     assert "verdict: verified" in stdout
 
 
+@pytest.mark.parametrize("n, verdict", [(11, "verified"), (31, "verified"), (13, "not-simple")])
+def test_decompose_dihedral_over_f3(tmp_path, capsys, n, verdict):
+    """R_11 and R_31 are simple over F_3; over F_3 the augmentation-zero
+    summand of R_13 splits into two summands of dimension 6."""
+    path = tmp_path / "r.json"
+    run(capsys, "make", "dihedral", str(n), "-o", str(path))
+    code, stdout, _ = run(capsys, "decompose", str(path), "--domain", "F3", "--json")
+    assert code == 0
+    doc = json.loads(stdout)["outputs"]
+    assert doc["verdict"] == verdict
+    assert [(e["dim_triv"], e["dim_st"]) for e in doc["orbits"]] == [(1, n - 1)]
+
+
+def test_decompose_json_repeats(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    run(capsys, "make", "dihedral", "13", "-o", str(path))
+    outputs = [run(capsys, "decompose", str(path), "--domain", domain, "--json")[1] for domain in ("F3", "F3", "F5", "F5")]
+    assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+
+
 def test_decompose_over_z_is_bad_parameters(tmp_path, capsys):
     path = tmp_path / "r3.json"
     run(capsys, "make", "dihedral", "3", "-o", str(path))

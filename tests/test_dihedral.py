@@ -277,7 +277,6 @@ def test_summand_check_on_one_orbit_of_r8():
     added to the trivial line is not invariant."""
     x = dihedral_quandle(8)
     moves = inner_moves(x)
-    rotation = [x.table[x.table[i][0]][1] for i in range(8)]
     orbit = (0, 2, 4, 6)
 
     def row(value):
@@ -287,14 +286,14 @@ def test_summand_check_on_one_orbit_of_r8():
         return out
 
     triv, sign, plane_row = row(lambda t: 1), row(lambda t: (-1) ** t), row(lambda t: 2**t)
-    assert _summand_check(GF(5), moves, rotation, [triv]) == (1, True, True)
-    assert _summand_check(GF(5), moves, rotation, [triv, sign]) == (2, True, False)
-    assert _summand_check(GF(5), moves, rotation, [plane_row, row(lambda t: 3**t)]) == (2, True, True)
-    assert _summand_check(GF(5), moves, rotation, [triv, plane_row]) == (2, False, False)
-    # the two trivial lines share the rotation eigenvalue 1: no certificate
+    assert _summand_check(GF(5), moves, [triv]) == (1, True, True)
+    assert _summand_check(GF(5), moves, [triv, sign]) == (2, True, False)
+    assert _summand_check(GF(5), moves, [plane_row, row(lambda t: 3**t)]) == (2, True, True)
+    assert _summand_check(GF(5), moves, [triv, plane_row]) == (2, False, False)
+    # the two trivial lines share the rotation eigenvalue 1; the plane they
+    # span is decided all the same
     odd_triv = [int(v % 2 == 1) for v in range(8)]
-    with pytest.raises(RuntimeError):
-        _summand_check(GF(5), moves, rotation, [triv, odd_triv])
+    assert _summand_check(GF(5), moves, [triv, odd_triv]) == (2, True, False)
 
 
 @settings(max_examples=50, deadline=None)

@@ -211,13 +211,24 @@ def test_verify_decomposition_r9_over_f5_not_simple():
     assert entry.simple is False
 
 
-def test_verify_decomposition_r5_over_q_unknown():
+def test_verify_decomposition_r5_over_q_by_reduction():
+    # Inn(R_5) = D_5 has two orbits on the 20 ordered pairs of distinct
+    # points, so 2-transitivity does not decide R_5; the summand reduced
+    # mod 2 is simple, and so it is simple over Q
     report = verify_simple_decomposition(dihedral_quandle(5), QQ)
-    assert report.verdict == "inconclusive"
+    assert report.verdict == "verified"
     assert report.entries[0].invariant
-    assert report.entries[0].simple == "unknown"
-    # Inn(R_5) = D_5 has two orbits on the 20 ordered pairs of distinct points
+    assert report.entries[0].simple is True
+    assert report.entries[0].reduction_prime == 2
     assert oracle_pair_orbit_count(list(inner_group(dihedral_quandle(5))), 5) == 2
+
+
+def test_verify_decomposition_over_q_stays_unknown_for_r9():
+    # the augmentation-zero summand of Q[R_9] holds the pullback of that of
+    # R_3, so no reduction can be simple
+    report = verify_simple_decomposition(dihedral_quandle(9), QQ)
+    assert report.verdict == "inconclusive"
+    assert (report.entries[0].simple, report.entries[0].reduction_prime) == ("unknown", None)
 
 
 def test_verify_decomposition_order3_over_q():
