@@ -430,7 +430,7 @@ def cmd_power_assoc(args):
     box = list(DEFAULT_WITNESS_BOX)
     if witness is None:
         payload = {"witness": None, "domain": repr(domain), "box": box}
-        _emit(args, payload, ["power associative over the probe box (no witness found)"])
+        _emit(args, payload, ["power associative"])
     else:
         payload = {
             "witness": {
@@ -447,9 +447,10 @@ def cmd_power_assoc(args):
             payload,
             [
                 "not power associative: %s identity fails" % witness.identity,
-                "element: %s" % (witness.element,),
-                "lhs: %s" % (witness.lhs,),
-                "rhs: %s" % (witness.rhs,),
+                # str: a rational as its p/q, an integer without "/1"
+                "element: (%s)" % ", ".join(map(str, witness.element)),
+                "lhs: (%s)" % ", ".join(map(str, witness.lhs)),
+                "rhs: (%s)" % ", ".join(map(str, witness.rhs)),
             ],
         )
     return EXIT_OK
@@ -644,7 +645,7 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("power-assoc", help="search for a power-associativity violation")
+    p = sub.add_parser("power-assoc", help="decide power-associativity, with a witness when it fails")
     p.add_argument("file")
     p.add_argument("--domain", default="Q")
     p.add_argument("--json", action="store_true")

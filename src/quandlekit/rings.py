@@ -9,6 +9,7 @@ brings a result over F_p back into [0, p).
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .domains import GF, ZZ
@@ -20,7 +21,7 @@ from .errors import (
 )
 from .linalg import field_rank, hermite_normal_form
 
-DEFAULT_WITNESS_BOX = (-2, -1, 1, 2)
+DEFAULT_WITNESS_BOX = (-2, -1, 1, 2)  # the coefficients power_assoc_witness tries first
 DEFAULT_ISO_BUDGET = 10**7
 
 
@@ -92,6 +93,43 @@ def _albert_identities(ring, u):
     yield "fourth", multiply(ring, uu, uu), multiply(ring, uu_u, u)
 
 
+def _albert_polynomials(table, support, p):
+    """c(u) = (u*u)*u - u*(u*u) and f(u) = (u*u)*(u*u) - ((u*u)*u)*u for
+    u supported on `support`, expanded over the table in characteristic p:
+    each a dict {(monomial, m): coefficient of the monomial at e_m}, zero
+    coefficients dropped.  A monomial is the sorted tuple of its indices;
+    for 0 < p < 5 its exponents are reduced by x^p = x."""
+    t = table
+    polys = (Counter(), Counter())
+
+    def add(poly, indices, plus, minus):
+        if plus != minus:
+            key = tuple(sorted(indices))
+            if 0 < p < 5:
+                key = tuple(v for v in sorted(set(key)) for _ in range((key.count(v) - 1) % (p - 1) + 1))
+            poly[key, plus] += 1
+            poly[key, minus] -= 1
+
+    for i in support:
+        ti = t[i]
+        for j in support:
+            tj, tij = t[j], t[ti[j]]
+            for k in support:
+                tk, tijk = t[k], t[tij[k]]
+                add(polys[0], (i, j, k), tij[k], ti[tj[k]])
+                for l in support:
+                    add(polys[1], (i, j, k, l), tij[tk[l]], tijk[l])
+    return [{km: c for km, c in poly.items() if (c % p if p else c)} for poly in polys]
+
+
+def _violation(ring, u):
+    """The first Albert identity u violates, as a witness; None if none."""
+    for identity, lhs, rhs in _albert_identities(ring, u):
+        if lhs != rhs:
+            return PowerAssocWitness(tuple(u), identity, tuple(lhs), tuple(rhs))
+    return None
+
+
 @dataclass(frozen=True)
 class PowerAssocWitness:
     element: tuple
@@ -101,27 +139,60 @@ class PowerAssocWitness:
 
 
 def power_assoc_witness(x, domain):
-    """Search u = a*e_i + b*e_j (i != j, a,b in `DEFAULT_WITNESS_BOX`) for
-    an Albert identity violation; None when every probe passes.
+    """An element u of k[X] violating an Albert identity, or None when both
+    (u*u)*u = u*(u*u) and (u*u)*(u*u) = ((u*u)*u)*u hold for every u.  In
+    characteristic 0 that is power-associativity (A. A. Albert, "On the
+    power-associativity of rings", 1948); over F_p the verdict is exact
+    for these two identities.
 
-    Violations are expected for every non-trivial quandle when the
-    characteristic is not 2 or 3; the search itself runs for any domain.
+    The decision.  The differences of the two sides, c(u) and f(u), are
+    homogeneous polynomial maps of degree 3 and 4 in the coefficients of
+    u.  Expanded over the table (`_albert_polynomials`, n^3 + n^4
+    lookups), a monomial u_a u_b u_c has at e_m the number of orderings
+    (i, j, k) of its indices with (i > j) > k = m, less those with
+    i > (j > k) = m; the degree-4 monomials likewise.  An identity holds
+    on all of k^n exactly when its polynomial is 0 once x^p is rewritten
+    as x over F_p, p < 5, which is the same function there: over Z and Q
+    as they are infinite domains, over F_p as every exponent is then
+    below p, and a nonzero polynomial in one variable of degree below p
+    has a non-root in F_p (induct on the number of variables).
+
+    The witness is the first u = a*e_i + b*e_j, i < j, a and b in
+    `DEFAULT_WITNESS_BOX`, in that order, violating the cube identity or
+    else the fourth; a pair whose two polynomials vanish on {i, j} is
+    skipped.  Only when none is found is the decision made.  If it finds a
+    nonzero monomial, u is restricted to its at most 4 indices: that
+    polynomial keeps the monomial, with degree at most 4 (p - 1 over F_p,
+    p < 5) in each variable, so by Alon's Combinatorial Nullstellensatz
+    (1999, Lemma 2.1) it is nonzero somewhere on S^k for S = {-2, ..., 2},
+    or F_p when p < 5.  Reaching the end of that grid is an internal error.
     """
     ring = quandle_ring(x, domain)
-    coeffs = [domain.coerce(c) for c in DEFAULT_WITNESS_BOX]
-    for i in range(x.n):
-        for j in range(x.n):
-            if i == j:
-                continue
-            for a in coeffs:
-                for b in coeffs:
-                    u = [domain.zero] * x.n
-                    u[i] = a
-                    u[j] = b
-                    for identity, lhs, rhs in _albert_identities(ring, u):
-                        if lhs != rhs:
-                            return PowerAssocWitness(tuple(u), identity, tuple(lhs), tuple(rhs))
-    return None
+    p = domain.char
+    box = [domain.coerce(c) for c in DEFAULT_WITNESS_BOX]
+    for i, j in itertools.combinations(range(x.n), 2):  # (j, i) tries the same points
+        pair = _albert_polynomials(x.table, (i, j), p)
+        if any(pair):
+            for a, b in itertools.product(box, repeat=2):
+                u = [domain.zero] * x.n
+                u[i], u[j] = a, b
+                found = _violation(ring, u)
+                if found:
+                    return found
+    polys = _albert_polynomials(x.table, range(x.n), p)
+    if not any(polys):
+        return None
+    monomial, _ = next(iter(next(poly for poly in polys if poly)))
+    support = sorted(set(monomial))
+    grid = [domain.coerce(c) for c in (range(p) if 0 < p < 5 else (-2, -1, 0, 1, 2))]
+    for point in itertools.product(grid, repeat=len(support)):
+        u = [domain.zero] * x.n
+        for v, a in zip(support, point):
+            u[v] = a
+        found = _violation(ring, u)
+        if found:
+            return found
+    raise RuntimeError("no Albert identity violation on the Nullstellensatz grid of a nonzero polynomial")
 
 
 def right_annihilator_count(x, p):
@@ -208,6 +279,15 @@ def find_ring_isomorphism(r1, r2, budget=DEFAULT_ISO_BUDGET):
     and the candidates of column k narrow to its solutions.  For a quandle
     ring, placing e_a and e_b leaves one candidate for e_(a > b).  The
     matrix returned is confirmed by is_ring_isomorphism.
+
+    Between quandle rings every column sums to 1: every isomorphism
+    phi: k[X] -> k[Y] preserves the augmentation eps.  A k-linear ring map
+    psi: k[Z] -> k of a quandle ring has psi(e_i)^2 = psi(e_i * e_i) =
+    psi(e_i), so psi(e_i) is 0 or 1, k having no other idempotents; if
+    psi(e_j) = 0, then psi(e_(i > j)) = psi(e_i) * psi(e_j) = 0 for every
+    i, and R_j is onto, so psi = 0.  So eps is the only nonzero one, and
+    eps_Y o phi, nonzero as phi is onto, is eps_X.  The search does not use
+    this; it needs R_j onto, which direct sums with zero products lack.
 
     budget caps the candidate vectors scanned (F_p^n once, then each
     narrowing) plus the search nodes visited; CapacityError beyond it.

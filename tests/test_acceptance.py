@@ -139,6 +139,18 @@ def test_criterion_02_power_associativity():
     )
 
 
+def test_criterion_02_report_power_associative_counts():
+    """How many quandle rings of each order 1..7 are power-associative;
+    recorded, not gated, as PAPER.md holds only the abstract."""
+    start = time.monotonic()
+    counts = [
+        "%r %s" % (d, [sum(power_assoc_witness(q, d) is None for q in enumerate_quandles(n)) for n in range(1, 8)])
+        for d in (QQ, GF(2), GF(3), GF(5))
+    ]
+    elapsed = time.monotonic() - start
+    record_report(2, "power-associative rings of order 1..7 (non-gating): %s" % "; ".join(counts), elapsed)
+
+
 def test_criterion_03_delta_filtration_odd():
     start = time.monotonic()
     ok = all(

@@ -304,7 +304,21 @@ def test_power_assoc_none_for_trivial(tmp_path, capsys):
     run(capsys, "make", "trivial", "4", "-o", str(path))
     code, stdout, _ = run(capsys, "power-assoc", str(path), "--domain", "F5")
     assert code == 0
-    assert "no witness found" in stdout
+    assert stdout == "power associative\n"
+
+
+def test_power_assoc_text_over_q(tmp_path, capsys):
+    """Coefficients print as numbers, not as Fraction reprs."""
+    path = tmp_path / "r3.json"
+    run(capsys, "make", "dihedral", "3", "-o", str(path))
+    code, stdout, _ = run(capsys, "power-assoc", str(path), "--domain", "Q")
+    assert code == 0
+    assert stdout.splitlines() == [
+        "not power associative: fourth identity fails",
+        "element: (-2, -1, 0)",
+        "lhs: (24, 33, 24)",
+        "rhs: (30, 21, 30)",
+    ]
 
 
 def test_delta_report(capsys):

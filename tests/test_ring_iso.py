@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.counterexamples import PAIR4_X, PAIR4_Y, PAIR7_X, PAIR7_Y
+from quandlekit.counterexamples import PAIR4_MATRIX, PAIR4_Q_MATRIX, PAIR4_X, PAIR4_Y, PAIR7_MATRIX, PAIR7_X, PAIR7_Y
 from quandlekit.domains import GF, QQ
 from quandlekit.errors import DomainMismatchError, PreconditionError
 from quandlekit.linalg import field_rank
@@ -108,6 +108,25 @@ def test_order7_pair_rings_isomorphic(p):
 def test_paper_pair_rings_not_isomorphic_over_f2():
     r1, r2 = quandle_ring(PAIR4_X, GF(2)), quandle_ring(PAIR4_Y, GF(2))
     assert find_ring_isomorphism(r1, r2) is None
+
+
+def test_quandle_ring_isomorphisms_preserve_augmentation():
+    """Every column of a quandle-ring isomorphism sums to 1 (the argument
+    is in the find_ring_isomorphism docstring): the paper's certificates
+    and every isomorphism the search finds between rings of order <= 4
+    over F_2 and F_3."""
+    certificates = [(PAIR4_MATRIX, 3), (PAIR4_Q_MATRIX, 0), (PAIR7_MATRIX, 0)]
+    for n in (1, 2, 3, 4):
+        for x, y in itertools.product(enumerate_quandles(n), repeat=2):
+            for p in (2, 3):
+                found = find_ring_isomorphism(quandle_ring(x, GF(p)), quandle_ring(y, GF(p)))
+                if found is not None:
+                    certificates.append((found, p))
+    assert len(certificates) > 3 + 2 * 12
+    for matrix, p in certificates:
+        for j in range(len(matrix)):
+            total = sum(row[j] for row in matrix)
+            assert (total % p if p else total) == 1
 
 
 @settings(max_examples=10, deadline=None)
