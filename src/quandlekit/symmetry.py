@@ -29,16 +29,11 @@ def compose(f, g):
 
 
 def _closure(gens, cap):
-    """The rank-m part of the semigroup gens generate, m the largest rank
-    in gens: breadth-first from the rank-m generators, dropping products of
-    lower rank.  Composing never raises rank, so every factor and partial
-    product of a rank-m element has rank m and the search reaches it.  For
-    permutations nothing is dropped: this is the group gens generate, with
+    """The group the permutations gens generate, breadth-first; it holds
     the identity, as each element has finite order.  CapacityError beyond
-    cap maps.
+    cap elements.
     """
-    m = max((len(set(g)) for g in gens), default=0)
-    gens = tuple(dict.fromkeys(g for g in gens if len(set(g)) == m))
+    gens = tuple(dict.fromkeys(gens))
     elements = set(gens)
     frontier = list(gens)
     while frontier:
@@ -46,7 +41,7 @@ def _closure(gens, cap):
         for f in frontier:
             for g in gens:
                 h = compose(f, g)
-                if h not in elements and len(set(h)) == m:
+                if h not in elements:
                     elements.add(h)
                     new.append(h)
                     if len(elements) > cap:
@@ -141,42 +136,80 @@ def is_right_orbit_2transitive(x):
 
 def is_left_peak_2transitive(x):
     """2-transitivity of the row semigroup H_X at its peak idempotents,
-    decided on the rank-m part of H_X; for rows that generate a group,
-    plain 2-transitivity of that group on X."""
-    return _peak_2transitive(_closure([left_translation(x, i) for i in range(x.n)], DEFAULT_CLOSURE_CAP))
+    see `peak_2transitive`; for rows that generate a group, plain
+    2-transitivity of that group on X."""
+    return peak_2transitive([left_translation(x, i) for i in range(x.n)])
 
 
-def _peak_2transitive(elements):
-    """Some idempotent of peak rank m has a 2-transitive maximal subgroup.
+def peak_2transitive(gens):
+    """Some idempotent of peak rank m in the semigroup S that the maps gens
+    generate has a maximal subgroup 2-transitive on its image.
 
-    `elements` holds the rank-m elements of a finite semigroup S of
-    self-maps, m the largest rank in S, and maybe others.  An idempotent e
-    of rank m fixes its image I, so the maximal subgroup at e acts on I as
-    f -> e.f restricted to I, for exactly those f that keep all m points
-    of I apart.  That action is a group action, so it is 2-transitive
-    exactly when the images (e[f[a]], e[f[b]]) of one pair a < b of I are
-    all m(m-1) ordered pairs.  Only rank-m elements are read, since
-    |e.f(I)| = m forces rank f = m: the `_closure` of S's generators gives
-    the answer of all of S.  True when m < 2, False for no elements.
+    m is the largest rank in gens, as composing never raises rank, and the
+    rank-m elements of S are the products of rank-m generators.
+    1. Kernels and images.  If f.g has rank m then ker f.g = ker g, one
+       holding the other and both with m classes, and im f.g = im f, as
+       f(im g) lies in im f and has m points.  So the peak images are the
+       images of the rank-m generators, at most len(gens) of them, and
+       the image graph has an edge J -> im g for each rank-m generator g
+       injective on J.
+    2. Group at e.  Let e be a rank-m idempotent with image I.  Its
+       maximal subgroup acts on I as G_I = {h|I : h in S, h(I) = I}: a
+       unit of eSe maps I onto I, and if h(I) = I then e.h.e lies in eSe,
+       agrees with h on I, and (e.h.e)^k = e for k the order of h|I.  So
+       G_I depends only on I.  A product h with h(I) = I walks a closed path
+       through I, inside I's strongly connected component C.  Fix a path
+       u_J: I -> J in C for each J of C.  By Schreier's lemma G_I is
+       generated by u_K^-1.g.u_J over the edges J -> K = im g inside C:
+       each lies in G_I, as u_K^-1 is a path from K back to I followed by
+       the inverse of a permutation of I in G_I, and a closed path through
+       I is their telescoping product.  The G_J for J in C are conjugate,
+       so C is read once.
+    3. Idempotent images.  I is the image of a rank-m idempotent exactly
+       when some rank-m generator g0 is injective on I and I is reachable
+       from im g0: an idempotent's first factor g0 has its kernel by 1,
+       and a product w.g0 with image I permutes I and has an idempotent
+       power.  An edge J -> im g inside C makes g such a g0 for J, so a
+       component holds an idempotent image exactly when it holds an edge;
+       one without an edge gives no Schreier generator and cannot pass,
+       so it needs no test of its own.
+    True when m < 2, since rank-1 maps are idempotent; False for no gens.
     """
-    if not elements:
-        return False
-    m = max(len(set(f)) for f in elements)
+    m = max((len(set(g)) for g in gens), default=0)
     if m < 2:
-        return True
-    needed = m * (m - 1)
-    for e in elements:
-        if len(set(e)) != m or compose(e, e) != e:
+        return bool(gens)
+    gens = [(frozenset(g), g) for g in dict.fromkeys(gens) if len(set(g)) == m]
+    images = list(dict.fromkeys(image for image, _ in gens))
+    index = {image: v for v, image in enumerate(images)}
+    edges = [[(index[im], g) for im, g in gens if len({g[a] for a in image}) == m] for image in images]
+    reach = [{v} for v in range(len(images))]  # reach[v]: the images v reaches, v included
+    for v, seen in enumerate(reach):
+        stack = [v]
+        while stack:
+            for w, _ in edges[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    done = set()
+    for base in range(len(images)):
+        if base in done:
             continue
-        image = sorted(set(e))
-        a, b = image[0], image[1]
-        pairs = set()
-        for f in elements:
-            pair = (e[f[a]], e[f[b]])
-            if pair not in pairs and len({e[f[i]] for i in image}) == m:
-                pairs.add(pair)
-                if len(pairs) == needed:
-                    return True
+        path = {base: tuple(sorted(images[base]))}  # path[J][i]: u_J of the i-th point of I
+        where = {base: {a: i for i, a in enumerate(path[base])}}  # the inverse of path[J]
+        stack, schreier = [base], set()
+        while stack:
+            v = stack.pop()
+            for w, g in edges[v]:
+                if base in reach[w]:
+                    moved = tuple(g[a] for a in path[v])
+                    if w not in path:
+                        path[w] = moved
+                        where[w] = {a: i for i, a in enumerate(moved)}
+                        stack.append(w)
+                    schreier.add(tuple(where[w][a] for a in moved))
+        done.update(path)
+        if reaches_every_pair(list(schreier), m):
+            return True
     return False
 
 

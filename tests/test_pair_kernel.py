@@ -1,5 +1,5 @@
-"""Differential tests of the pair-digraph kernel, the rank-m closure and
-the peak 2-transitivity predicate against the searches they replaced.
+"""Differential tests of the pair-digraph kernel, the group closure and
+the peak 2-transitivity kernel against the searches they replaced.
 
 ``reaches_every_pair`` decides 2-transitivity by two searches of the
 digraph on ordered pairs of distinct points, one forward and one
@@ -9,11 +9,11 @@ reachability set from every pair for semigroups, and the one-step image
 check for collections closed under composition.  They are quadratic in
 the number of pairs and stay here only as references for small inputs.
 ``oracle_closure`` is the whole semigroup the maps generate, by a
-breadth-first search that keeps every product; ``_closure`` keeps only the
-products of peak rank.  ``oracle_maximal_subgroups`` finds the units of
+breadth-first search that keeps every product; ``_closure`` is the group
+closure of permutations.  ``oracle_maximal_subgroups`` finds the units of
 eSe at every idempotent by a pairwise search for inverses, quadratic in
-|eSe|; the peak predicate is checked against the one-step check on the
-subgroups it finds.
+|eSe|; ``peak_2transitive``, which reads only the generators, is checked
+against the one-step check on the peak subgroups it finds.
 """
 
 import itertools
@@ -37,7 +37,6 @@ from quandlekit.quandles import (
 from quandlekit.symmetry import (
     DEFAULT_CLOSURE_CAP,
     _closure,
-    _peak_2transitive,
     compose,
     enumerate_quandles,
     inner_group,
@@ -45,6 +44,7 @@ from quandlekit.symmetry import (
     is_left_peak_2transitive,
     is_right_2transitive,
     is_right_orbit_2transitive,
+    peak_2transitive,
     reaches_every_pair,
     restricted_action,
 )
@@ -267,10 +267,9 @@ def test_left_peak_matches_oracle():
         assert is_left_peak_2transitive(q) == oracle_left_peak_2transitive(q), q.table
 
 
-def test_closure_is_peak_part_of_oracle_on_quandles():
+def test_inner_group_matches_oracle_on_quandles():
+    # the rows of these quandles go to peak_2transitive in test_left_peak_matches_oracle
     for q in small_quandles() + family_quandles():
-        rows = [left_translation(q, i) for i in range(q.n)]
-        assert _closure(rows, DEFAULT_CLOSURE_CAP) == peak_part(oracle_closure(rows)), q.table
         columns = [right_translation(q, j) for j in range(q.n)]
         assert inner_group(q) == oracle_closure(columns), q.table
 
@@ -279,18 +278,19 @@ def conj_s4():
     return conjugation_quandle(cayley_table([(1, 0, 2, 3), (1, 2, 3, 0)]))
 
 
-def test_closure_of_conj_s4_rows_is_small():
-    # H_X has 40,076 elements here; its peak-rank part has 8
-    q = conj_s4()
-    assert len(_closure([left_translation(q, i) for i in range(q.n)], DEFAULT_CLOSURE_CAP)) == 8
-
-
 def test_left_peak_of_conj_s4_is_fast():
-    # the pairwise unit search took about 264 s here
+    # the pairwise unit search took about 264 s here, the rank-m closure 8 maps
     q = conj_s4()
     start = time.perf_counter()
     assert is_left_peak_2transitive(q) is False
     assert time.perf_counter() - start < 30
+
+
+def test_conj_s5_is_not_left_peak_2transitive():
+    # n = 120: the full closure H_X does not fit in memory, so no oracle
+    q = conjugation_quandle(cayley_table([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]))
+    assert q.n == 120
+    assert is_left_peak_2transitive(q) is False
 
 
 def permutation_sets(m):
@@ -326,34 +326,77 @@ def test_pair_01_reaching_every_pair_is_not_enough():
     assert not reaches_every_pair(gens, 3)
 
 
+def oracle_peak(gens):
+    return oracle_peak_2transitive(oracle_closure(gens))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4).flatmap(map_sets))
 def test_peak_subgroups_of_random_semigroups(case):
     m, gens = case
-    s = oracle_closure(gens)
-    assert _peak_2transitive(s) == oracle_peak_2transitive(s)
+    assert peak_2transitive(gens) == oracle_peak(gens)
+
+
+def mixed_rank_map_sets(m):
+    """Up to five maps on [0, m), each of its own drawn rank."""
+    def of_rank(r):
+        image = st.lists(st.integers(0, m - 1), min_size=r, max_size=r, unique=True)
+        return image.flatmap(lambda pts: st.permutations(list(pts) + [pts[0]] * (m - r))).map(tuple)
+    maps = st.integers(1, m).flatmap(of_rank)
+    return st.tuples(st.just(m), st.lists(maps, min_size=1, max_size=5))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5).flatmap(map_sets))
-def test_closure_is_peak_part_of_oracle_closure(case):
+@given(st.integers(2, 4).flatmap(mixed_rank_map_sets))
+def test_peak_kernel_matches_oracle_on_mixed_ranks(case):
     m, gens = case
-    s = oracle_closure(gens)
-    peak = _closure(gens, DEFAULT_CLOSURE_CAP)
-    assert peak == peak_part(s)
-    assert _peak_2transitive(peak) == _peak_2transitive(s)
+    assert peak_2transitive(gens) == oracle_peak(gens)
+    # the peak images are the rank-m generators' images, so the image
+    # graph never has more nodes than there are generators
+    peak = peak_part(oracle_closure(gens))
+    assert {frozenset(f) for f in peak} == {frozenset(g) for g in peak_part(gens)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(permutation_sets))
+def test_group_closure_matches_oracle_closure(case):
+    m, gens = case
+    assert _closure(gens, DEFAULT_CLOSURE_CAP) == oracle_closure(gens)
 
 
 def test_peak_2transitive_basics():
     sym3 = [tuple(p) for p in itertools.permutations(range(3))]
-    assert _peak_2transitive(sym3)
-    # the rotations of three points are transitive, not 2-transitive
-    assert not _peak_2transitive([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
-    # constants are rank-1 idempotents, vacuously 2-transitive
-    assert _peak_2transitive([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
+    rotations = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    constants = [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
     # the rows of the one-swap quandle reach rank 2, but no idempotent does
-    assert not _peak_2transitive([(0, 0, 1), (1, 1, 0), (0, 0, 0), (1, 1, 1), (2, 2, 2)])
-    assert not _peak_2transitive([])
+    one_swap = [(0, 0, 1), (1, 1, 0), (0, 0, 0), (1, 1, 1), (2, 2, 2)]
+    for gens, expected in ((sym3, True), (rotations, False), (constants, True), (one_swap, False)):
+        assert peak_2transitive(gens) == oracle_peak(gens) == expected, gens
+    assert peak_2transitive([]) == oracle_peak([]) == False
+
+
+def test_peak_class_without_idempotent():
+    # image {0, 1}, kernel {0, 1 | 2}: no rank-2 element is injective on its image
+    assert peak_2transitive([(1, 1, 0)]) == oracle_peak([(1, 1, 0)]) == False
+
+
+def test_peak_images_in_two_components():
+    # {0, 1} is the image of (0, 1, 1, 0) and (1, 0, 0, 1), which permute
+    # it as S_2; {2, 3}, the image of (2, 2, 3, 3), has one edge, to
+    # {0, 1}, and no idempotent image
+    gens = [(0, 1, 1, 0), (1, 0, 0, 1), (2, 2, 3, 3)]
+    assert peak_2transitive(gens) == oracle_peak(gens) == True
+    assert peak_2transitive(gens[::2]) == oracle_peak(gens[::2]) == False
+
+
+def test_peak_groups_of_separate_components_are_not_merged():
+    # {6, 7, 8} has edges to {0, 1, 2}, where a is a 3-cycle, and to
+    # {3, 4, 5}, where b swaps 3 and 4; neither group is 2-transitive,
+    # though the two conjugated into one group would give S_3
+    a = (1, 2, 0, 0, 0, 0, 0, 1, 2)
+    b = (3, 3, 3, 4, 3, 5, 3, 4, 5)
+    c = (6, 6, 7, 6, 6, 8, 6, 6, 8)
+    assert peak_2transitive([a, b, c]) == oracle_peak([a, b, c]) == False
 
 
 def test_constant_maps_isolate_every_pair():

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_pair_kernel import oracle_closure, small_quandles
+from test_pair_kernel import oracle_closure, oracle_peak, small_quandles
 
 from quandlekit import symmetry
 from quandlekit.errors import CapacityError, NotInvariantError, QuandleKitError
@@ -32,6 +32,7 @@ from quandlekit.symmetry import (
     is_right_2transitive,
     is_right_cyclic_type,
     is_right_orbit_2transitive,
+    peak_2transitive,
     quandle_polynomial,
     quandles_isomorphic,
     _enumerate,
@@ -59,27 +60,28 @@ def rows(x):
 
 
 def test_left_semigroup_of_trivial_is_constants():
-    assert _closure(rows(trivial_quandle(3)), DEFAULT_CLOSURE_CAP) == {(0, 0, 0), (1, 1, 1), (2, 2, 2)}
+    assert oracle_closure(rows(trivial_quandle(3))) == {(0, 0, 0), (1, 1, 1), (2, 2, 2)}
+    assert peak_2transitive(rows(trivial_quandle(3))) == oracle_peak(rows(trivial_quandle(3))) == True
 
 
 def test_left_semigroup_of_latin_is_all_permutations():
-    h = _closure(rows(dihedral_quandle(5)), DEFAULT_CLOSURE_CAP)
+    h = oracle_closure(rows(dihedral_quandle(5)))
     assert all(len(set(f)) == 5 for f in h)
-    assert h == oracle_closure(rows(dihedral_quandle(5)))
+    assert peak_2transitive(rows(dihedral_quandle(5))) == oracle_peak(rows(dihedral_quandle(5))) == True
 
 
 def test_closure_is_fixpoint():
-    # a product of two peak-rank elements is one of them or drops rank
+    # the group closure of the columns is closed under composition, and
+    # the rows' peak kernel agrees with the full closure
     for q in enumerate_quandles(4) + (ONE_SWAP,):
-        h = _closure(rows(q), DEFAULT_CLOSURE_CAP)
-        m = max(len(set(f)) for f in h)
-        for f in h:
-            for g in h:
-                assert compose(f, g) in h or len(set(compose(f, g))) < m
+        h = _closure([right_translation(q, j) for j in range(q.n)], DEFAULT_CLOSURE_CAP)
+        assert all(compose(f, g) in h for f in h for g in h)
+        assert peak_2transitive(rows(q)) == oracle_peak(rows(q)), q.table
 
 
 def test_closure_of_no_maps_is_empty():
     assert _closure([], DEFAULT_CLOSURE_CAP) == set()
+    assert peak_2transitive([]) == oracle_peak([]) == False
 
 
 def test_closure_capacity():
