@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 
@@ -49,13 +50,13 @@ from .quandles import (
     core_quandle,
     dihedral_quandle,
     disjoint_union,
+    dumps,
     from_json_dict,
     orbits,
     orbit_partition_type,
     partition_type,
     to_json_dict,
     trivial_quandle,
-    validate_table,
 )
 from .rings import (
     DEFAULT_ISO_BUDGET,
@@ -176,12 +177,13 @@ def parse_domain(text):
         return ZZ
     if t in ("Q", "QQ"):
         return QQ
-    if t.startswith("F"):
+    field = re.fullmatch(r"F_?([0-9]+)", t)
+    if field:
         try:
-            return GF(int(t.lstrip("F_")))
-        except (ValueError, QuandleKitError) as exc:
+            return GF(int(field.group(1)))
+        except QuandleKitError as exc:
             raise QuandleKitError("bad field spec %r: %s" % (text, exc)) from exc
-    raise QuandleKitError("unknown domain %r (use Z, Q, or Fp)" % text)
+    raise QuandleKitError("unknown domain %r (use Z, Q, Fp or F_p)" % text)
 
 
 def _read_json(path):
@@ -281,7 +283,7 @@ def cmd_make(args):
         q = disjoint_union(load_quandle(args.params[0]), load_quandle(args.params[1]))
     else:
         q = load_quandle(args.params[0])
-    text = json.dumps(to_json_dict(q), sort_keys=True)
+    text = dumps(q)
     if args.output and args.output != "-":
         _write(args.output, "w", text + "\n")
     else:
@@ -310,20 +312,13 @@ def quandle_summary(q):
 
 
 def cmd_check(args):
-    d = _read_json(args.file)
-    with _naming(args.file):
-        if not isinstance(d, dict) or "n" not in d or "table" not in d:
-            raise MalformedTableError("bad-structure", "expected an object with 'n' and 'table'")
-        report = validate_table(d["n"], d["table"])
-    if not report.ok:
-        payload = {"valid": False, "violations": [[a, list(w)] for a, w in report.violations]}
-        if args.json:
-            _emit(args, payload, [])
-        else:
-            for axiom, witness in report.violations:
-                print("axiom %s violated at %s" % (axiom, witness))
+    try:
+        q = load_quandle(args.file)
+    except AxiomViolationError as exc:
+        payload = {"valid": False, "violations": [[a, list(w)] for a, w in exc.violations]}
+        lines = ["axiom %s violated at %s" % (axiom, witness) for axiom, witness in exc.violations]
+        _emit(args, payload, lines)
         return EXIT_AXIOM
-    q = Quandle.from_table(d["table"], validate=False)
     s = quandle_summary(q)
     s["valid"] = True
     lines = ["n = %d" % q.n]
@@ -388,8 +383,7 @@ def _append_catalog(path, quandles, flags):
             continue
         seen.add(key)
         entry = {
-            "n": q.n,
-            "table": [list(r) for r in q.table],
+            **to_json_dict(q),
             "partition_type": list(partition_type(q)),
             "right2t": right2t,
             "left2t": left2t,
@@ -400,15 +394,18 @@ def _append_catalog(path, quandles, flags):
     return len(new)
 
 
-def cmd_enumerate(args):
-    qs = enumerate_quandles(args.n, bound=args.bound)
+def _census(n, bound=DEFAULT_ENUM_BOUND):
+    """The classes of order n, their (right2t, left2t) flags, and the tally
+    (classes, right-orbit-2-transitive, left-peak-2-transitive)."""
+    qs = enumerate_quandles(n, bound=bound)
     flags = [(is_right_orbit_2transitive(q), is_left_peak_2transitive(q)) for q in qs]
-    counts = {
-        "n": args.n,
-        "classes": len(qs),
-        "right2t": sum(right2t for right2t, _ in flags),
-        "left2t": sum(left2t for _, left2t in flags),
-    }
+    tally = (len(qs), sum(right2t for right2t, _ in flags), sum(left2t for _, left2t in flags))
+    return qs, flags, tally
+
+
+def cmd_enumerate(args):
+    qs, flags, (classes, right2t, left2t) = _census(args.n, args.bound)
+    counts = {"n": args.n, "classes": classes, "right2t": right2t, "left2t": left2t}
     path = _catalog_path(args)
     if path:
         counts["catalog_added"] = _append_catalog(path, qs, flags)
@@ -485,6 +482,8 @@ def cmd_delta(args):
 
 
 def cmd_iso(args):
+    if args.matrix and not args.ring_domain:
+        raise QuandleKitError("--matrix needs --ring-domain")
     qx = load_quandle(args.x)
     qy = load_quandle(args.y)
     sigma = quandles_isomorphic(qx, qy) if qx.n == qy.n else None
@@ -507,6 +506,8 @@ def cmd_iso(args):
 
 
 def cmd_decompose(args):
+    if args.complex_dihedral is not None and args.file is not None:
+        raise QuandleKitError("decompose takes a table file or --complex-dihedral N, not both")
     if args.complex_dihedral is not None:
         report = complex_decomposition_check(args.complex_dihedral)
         payload = report.to_json()
@@ -534,13 +535,7 @@ def cmd_decompose(args):
 def _verify_checks():
     """Yield (name, actual, expected) triples for the golden suite."""
     for n, expected in sorted(EXPECTED["enumeration"].items()):
-        qs = enumerate_quandles(n)
-        actual = (
-            len(qs),
-            sum(is_right_orbit_2transitive(q) for q in qs),
-            sum(is_left_peak_2transitive(q) for q in qs),
-        )
-        yield "enumeration n=%d" % n, actual, tuple(expected)
+        yield "enumeration n=%d" % n, _census(n)[2], tuple(expected)
     for n, size in sorted(EXPECTED["inner_group_sizes"].items()):
         yield "inner group size R_%d" % n, len(inner_group(dihedral_quandle(n))), size
     for n, expected in sorted(EXPECTED["delta_odd"].items()):
@@ -582,12 +577,13 @@ def _verify_checks():
     yield "even-index relations n=8", star_relations_check(8), True
     yield "odd-index relations n=9", odd_relations_check(9), True
     for p, expected in sorted(EXPECTED["annihilator_counts"].items()):
-        actual = (
-            right_annihilator_count(trivial_quandle(3), p),
-            right_annihilator_count(TWO_ORBIT, p),
-            right_annihilator_count(dihedral_quandle(3), p),
-        )
-        yield "zero columns mod %d" % p, actual, tuple(expected)
+        yield "zero columns mod %d" % p, _zero_columns(p), tuple(expected)
+
+
+def _zero_columns(p):
+    """Right annihilator counts mod p of trivial_quandle(3), TWO_ORBIT and
+    dihedral_quandle(3), in that order."""
+    return tuple(right_annihilator_count(q, p) for q in (trivial_quandle(3), TWO_ORBIT, dihedral_quandle(3)))
 
 
 def cmd_verify(args):
@@ -605,11 +601,7 @@ def cmd_verify(args):
                 print("  actual:   %r" % (actual,))
     # p = 3 sits outside the advertised pattern for the zero-column counts;
     # report the observed values without asserting them.
-    p3 = {
-        "trivial3": right_annihilator_count(trivial_quandle(3), 3),
-        "two_orbit3": right_annihilator_count(TWO_ORBIT, 3),
-        "dihedral3": right_annihilator_count(dihedral_quandle(3), 3),
-    }
+    p3 = dict(zip(("trivial3", "two_orbit3", "dihedral3"), _zero_columns(3)))
     if args.json:
         _emit(args, {"results": results, "failures": failures, "zero_columns_p3": p3}, [])
     else:

@@ -24,12 +24,6 @@ class EBasisExpr:
     n: int
     coeffs: tuple  # sorted tuple of (index, coefficient), no zeros
 
-    def coeff(self, i):
-        for idx, c in self.coeffs:
-            if idx == i:
-                return c
-        return 0
-
     def __str__(self):
         if not self.coeffs:
             return "0"

@@ -7,6 +7,7 @@ Elements are 0-indexed throughout; serialized tables are 0-indexed too.
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
 AXIOM_IDEMPOTENCE = "I"
 AXIOM_RIGHT_INVERTIBLE = "II"
 AXIOM_SELF_DISTRIBUTIVE = "III"
+MAX_WITNESSES = 10  # reported per axiom
 
 
 @dataclass(frozen=True)
@@ -48,68 +50,63 @@ def _check_shape(n, table):
                 )
 
 
-def validate_table(n, table, max_witnesses=10):
-    """Check the three quandle axioms, reporting up to max_witnesses per axiom.
+def validate_table(n, table):
+    """Check the three quandle axioms, reporting the first MAX_WITNESSES
+    witnesses of each in lexicographic order.
 
     Raises MalformedTableError for structurally broken input; axiom
     violations are reported, not raised.
     """
     _check_shape(n, table)
-    violations = []
+    scans = (
+        (AXIOM_IDEMPOTENCE, ((i,) for i in range(n) if table[i][i] != i)),
+        (AXIOM_RIGHT_INVERTIBLE, ((j,) for j, column in enumerate(zip(*table)) if len(set(column)) != n)),
+        (
+            AXIOM_SELF_DISTRIBUTIVE,
+            # (i > j) > k against (i > k) > (j > k)
+            (
+                (i, j, k)
+                for i, row_i in enumerate(table)
+                for j, row_j in enumerate(table)
+                for k, ij_k in enumerate(table[row_i[j]])
+                if ij_k != table[row_i[k]][row_j[k]]
+            ),
+        ),
+    )
+    violations = tuple((axiom, w) for axiom, found in scans for w in islice(found, MAX_WITNESSES))
+    return ValidationReport(ok=not violations, violations=violations)
 
-    count = 0
-    for i in range(n):
-        if table[i][i] != i:
-            violations.append((AXIOM_IDEMPOTENCE, (i,)))
-            count += 1
-            if count >= max_witnesses:
-                break
 
-    count = 0
-    for j in range(n):
-        seen = set(table[i][j] for i in range(n))
-        if len(seen) != n:
-            violations.append((AXIOM_RIGHT_INVERTIBLE, (j,)))
-            count += 1
-            if count >= max_witnesses:
-                break
-
-    count = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[table[i][j]][k] != table[table[i][k]][table[j][k]]:
-                    violations.append((AXIOM_SELF_DISTRIBUTIVE, (i, j, k)))
-                    count += 1
-                    if count >= max_witnesses:
-                        break
-            if count >= max_witnesses:
-                break
-        if count >= max_witnesses:
-            break
-
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+def _checked(n, table):
+    """The Quandle of an n x n table: MalformedTableError for a broken
+    shape, AxiomViolationError carrying every reported witness otherwise."""
+    report = validate_table(n, table)
+    if not report.ok:
+        raise AxiomViolationError(
+            "table violates quandle axioms: %s" % (report.violations[:3],),
+            violations=report.violations,
+        )
+    return Quandle(n, tuple(tuple(row) for row in table))
 
 
 @dataclass(frozen=True)
 class Quandle:
-    """Immutable finite quandle; table[i][j] = i > j."""
+    """Immutable finite quandle; table[i][j] = i > j.
+
+    ``Quandle(n, table)`` trusts its caller: it checks neither the shape
+    nor the axioms, and is what the constructors below use.  Tables from
+    outside go through the checked path, ``from_table`` or
+    ``from_json_dict``.
+    """
 
     n: int
     table: tuple  # of tuples of int
 
     @staticmethod
     def from_table(table, validate=True):
-        n = len(table)
+        """The checked quandle of a table; ``validate=False`` only copies it."""
         tbl = tuple(tuple(row) for row in table)
-        if validate:
-            report = validate_table(n, tbl)
-            if not report.ok:
-                raise AxiomViolationError(
-                    "table violates quandle axioms: %s" % (report.violations[:3],),
-                    violations=report.violations,
-                )
-        return Quandle(n=n, table=tbl)
+        return _checked(len(tbl), tbl) if validate else Quandle(len(tbl), tbl)
 
     def op(self, i, j):
         return self.table[i][j]
@@ -286,20 +283,13 @@ def to_json_dict(x):
     return {"n": x.n, "table": [list(row) for row in x.table]}
 
 
-def from_json_dict(d, validate=True):
+def from_json_dict(d):
+    """The quandle of a decoded ``{"n": ..., "table": ...}`` document, its
+    shape and axioms checked once."""
     if not isinstance(d, dict) or "n" not in d or "table" not in d:
         raise MalformedTableError("bad-structure", "expected an object with 'n' and 'table'")
-    _check_shape(d["n"], d["table"])
-    return Quandle.from_table(d["table"], validate=validate)
+    return _checked(d["n"], d["table"])
 
 
 def dumps(x):
     return json.dumps(to_json_dict(x), sort_keys=True)
-
-
-def loads(text, validate=True):
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedTableError("bad-structure", "invalid JSON: %s" % exc) from exc
-    return from_json_dict(d, validate=validate)

@@ -12,7 +12,7 @@ from quandlekit.cli import EXPECTED, main, parse_domain
 from quandlekit.counterexamples import PAIR4_X, PAIR4_Y
 from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.errors import QuandleKitError
-from quandlekit.quandles import to_json_dict
+from quandlekit.quandles import to_json_dict, validate_table
 from quandlekit.rings import DEFAULT_WITNESS_BOX, is_ring_isomorphism, quandle_ring
 from quandlekit.symmetry import DEFAULT_ENUM_BOUND, quandle_polynomial
 
@@ -31,11 +31,24 @@ def write_json(path, obj):
 def test_parse_domain():
     assert parse_domain("Z") is ZZ
     assert parse_domain("q") is QQ
-    assert parse_domain("F5").char == 5
-    with pytest.raises(QuandleKitError):
-        parse_domain("F4")
-    with pytest.raises(QuandleKitError):
-        parse_domain("banana")
+    for spec in ("F5", "F_5", "f5", "f_5"):
+        assert parse_domain(spec).char == 5
+    for spec in ("F4", "banana", "FF5", "F__5", "F_", "F5_", "F-5"):
+        with pytest.raises(QuandleKitError):
+            parse_domain(spec)
+
+
+def test_domain_spec_is_exactly_fp_or_f_underscore_p(tmp_path, capsys):
+    path = tmp_path / "r3.json"
+    run(capsys, "make", "dihedral", "3", "-o", str(path))
+    for spec in ("F5", "F_5", "f5"):
+        code, stdout, _ = run(capsys, "power-assoc", str(path), "--domain", spec, "--json")
+        assert code == 0, spec
+        assert json.loads(stdout)["outputs"]["domain"] == repr(GF(5))
+    for spec in ("FF5", "F__5"):
+        code, stdout, err = run(capsys, "power-assoc", str(path), "--domain", spec)
+        assert (code, stdout) == (2, ""), spec
+        assert "bad parameters" in err
 
 
 def test_make_and_check_roundtrip(tmp_path, capsys):
@@ -176,6 +189,39 @@ def test_axiom_violation_json_lists_witnesses(tmp_path, capsys):
     doc = json.loads(stdout)
     assert doc["outputs"]["valid"] is False
     assert doc["outputs"]["violations"]
+
+
+def all_witnesses(n, table):
+    """Every violation of each quandle axiom, in the order of its indices."""
+    r = range(n)
+    return {
+        "I": [(i,) for i in r if table[i][i] != i],
+        "II": [(j,) for j in r if sorted(table[i][j] for i in r) != list(r)],
+        "III": [
+            (i, j, k)
+            for i in r
+            for j in r
+            for k in r
+            if table[table[i][j]][k] != table[table[i][k]][table[j][k]]
+        ],
+    }
+
+
+def test_check_reports_the_first_ten_witnesses_of_each_axiom(tmp_path, capsys):
+    n = 13
+    table = [[(i * i + j) % n for j in range(n)] for i in range(n)]
+    found = all_witnesses(n, table)
+    assert [len(found[axiom]) for axiom in ("I", "II", "III")] == [12, 13, 2028]
+    expected = [(axiom, w) for axiom in ("I", "II", "III") for w in found[axiom][:10]]
+    assert list(validate_table(n, table).violations) == expected
+    path = write_json(tmp_path / "cap.json", {"n": n, "table": table})
+    code, stdout, err = run(capsys, "check", path, "--json")
+    assert (code, err) == (4, "")
+    outputs = json.loads(stdout)["outputs"]
+    assert outputs == {"valid": False, "violations": [[axiom, list(w)] for axiom, w in expected]}
+    code, stdout, err = run(capsys, "check", path)
+    assert (code, err) == (4, "")
+    assert stdout.splitlines() == ["axiom %s violated at %s" % violation for violation in expected]
 
 
 def test_exit_code_capacity(capsys):
@@ -448,6 +494,16 @@ def test_iso_matrix_over_q_reads_only_the_written_fractions(tmp_path, capsys):
         assert json.loads(stdout)["outputs"]["ring_iso_matrix_valid"] is valid
 
 
+def test_iso_matrix_needs_ring_domain(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    run(capsys, "make", "dihedral", "3", "-o", str(a))
+    for matrix in (write_json(tmp_path / "m.json", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), str(tmp_path / "missing.json")):
+        code, stdout, err = run(capsys, "iso", str(a), str(a), "--matrix", matrix)
+        assert code == 2
+        assert stdout == ""
+        assert "--ring-domain" in err
+
+
 def test_decompose_file_mode(tmp_path, capsys):
     path = tmp_path / "r3.json"
     run(capsys, "make", "dihedral", "3", "-o", str(path))
@@ -516,6 +572,15 @@ def test_decompose_has_no_tolerance_option(capsys):
         main(["decompose", "--complex-dihedral", "6", "--tol", "1e-9"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_decompose_file_and_complex_mode_is_bad_parameters(tmp_path, capsys):
+    path = tmp_path / "r3.json"
+    run(capsys, "make", "dihedral", "3", "-o", str(path))
+    code, stdout, err = run(capsys, "decompose", str(path), "--complex-dihedral", "6")
+    assert code == 2
+    assert stdout == ""
+    assert "not both" in err
 
 
 def test_decompose_without_input_is_bad_parameters(capsys):

@@ -2,6 +2,8 @@
 module.
 
 ``__init__.py`` is skipped: its imports are the package's re-exports.
+Only ``quandles`` checks a table: no other library module names
+``validate_table`` or ``_check_shape``.
 """
 
 import ast
@@ -42,3 +44,27 @@ def test_test_modules_use_every_import():
     assert len(TEST_MODULES) >= 10
     found = {p.name: unused_imports(p.read_text()) for p in TEST_MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def names(source):
+    """Every name a module binds by import, reads, or reads as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(name for alias in node.names for name in (alias.name, alias.asname) if name)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_names_scan_sees_imports_calls_and_attributes():
+    source = "from .quandles import validate_table as v\nquandles._check_shape(1, [[0]])\n"
+    assert {"validate_table", "v", "_check_shape"} <= names(source)
+
+
+def test_only_quandles_checks_tables():
+    checks = {"validate_table", "_check_shape"}
+    found = {p.name: sorted(names(p.read_text()) & checks) for p in MODULES if p.name != "quandles.py"}
+    assert {name: used for name, used in found.items() if used} == {}

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandlekit import quandles
 from quandlekit.errors import (
     AxiomViolationError,
     EmptyQuandleError,
@@ -21,7 +22,6 @@ from quandlekit.quandles import (
     dumps,
     from_json_dict,
     left_translation,
-    loads,
     orbits,
     partition_type,
     right_translation,
@@ -157,18 +157,33 @@ def test_translations():
 
 def test_json_roundtrip():
     q = dihedral_quandle(6)
-    assert loads(dumps(q)).table == q.table
+    assert from_json_dict(json.loads(dumps(q))).table == q.table
     d = to_json_dict(q)
     assert from_json_dict(d).n == 6
 
 
-def test_loads_rejects_garbage():
+def test_from_json_dict_rejects_garbage():
     with pytest.raises(MalformedTableError):
-        loads("not json")
+        from_json_dict([[0]])
     with pytest.raises(MalformedTableError):
-        loads(json.dumps({"n": 2}))
+        from_json_dict({"n": 2})
     with pytest.raises(MalformedTableError):
-        loads(json.dumps({"n": 2, "table": [[0, 0], [1, "x"]]}))
+        from_json_dict({"n": 2, "table": [[0, 0], [1, "x"]]})
+    with pytest.raises(AxiomViolationError):
+        from_json_dict({"n": 2, "table": [[1, 0], [0, 1]]})
+
+
+def test_from_json_dict_checks_the_shape_once(monkeypatch):
+    calls = []
+    real = quandles._check_shape
+
+    def counted(n, table):
+        calls.append(n)
+        return real(n, table)
+
+    monkeypatch.setattr(quandles, "_check_shape", counted)
+    assert from_json_dict(to_json_dict(dihedral_quandle(5))).table == dihedral_quandle(5).table
+    assert calls == [5]
 
 
 @settings(max_examples=30)
