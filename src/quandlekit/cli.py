@@ -484,6 +484,8 @@ def cmd_delta(args):
 def cmd_iso(args):
     if args.matrix and not args.ring_domain:
         raise QuandleKitError("--matrix needs --ring-domain")
+    if args.budget is not None and (args.matrix or not args.ring_domain):
+        raise QuandleKitError("--budget bounds the ring isomorphism search: it needs --ring-domain and no --matrix")
     qx = load_quandle(args.x)
     qy = load_quandle(args.y)
     sigma = quandles_isomorphic(qx, qy) if qx.n == qy.n else None
@@ -498,7 +500,8 @@ def cmd_iso(args):
             payload["ring_iso_matrix_valid"] = ok
             lines.append("given matrix is a ring isomorphism: %s" % ok)
         else:
-            found = find_ring_isomorphism(rx, ry, budget=args.budget)
+            budget = DEFAULT_ISO_BUDGET if args.budget is None else args.budget
+            found = find_ring_isomorphism(rx, ry, budget=budget)
             payload["ring_iso"] = found
             lines.append("ring isomorphism search: %s" % ("found" if found else "none"))
     _emit(args, payload, lines)
@@ -509,6 +512,8 @@ def cmd_decompose(args):
     if args.complex_dihedral is not None and args.file is not None:
         raise QuandleKitError("decompose takes a table file or --complex-dihedral N, not both")
     if args.complex_dihedral is not None:
+        if args.domain is not None:
+            raise QuandleKitError("--complex-dihedral N picks its own prime field; it takes no --domain")
         report = complex_decomposition_check(args.complex_dihedral)
         payload = report.to_json()
         lines = ["n=%d over F_%d: total dim %d, ok=%s" % (report.n, report.prime, report.total_dim, report.ok)]
@@ -519,7 +524,7 @@ def cmd_decompose(args):
     if args.file is None:
         raise QuandleKitError("decompose needs a table file or --complex-dihedral N")
     q = load_quandle(args.file)
-    domain = parse_domain(args.domain)
+    domain = parse_domain("F5" if args.domain is None else args.domain)
     report = verify_simple_decomposition(q, domain)
     payload = report.to_json()
     lines = ["verdict: %s" % report.verdict]
@@ -658,16 +663,16 @@ def build_parser():
     p.add_argument(
         "--budget",
         type=int,
-        default=DEFAULT_ISO_BUDGET,
+        default=None,
         help="cap on the candidate vectors scanned plus the search nodes visited by the ring "
-        "isomorphism search; exit 5 beyond it (default %(default)s)",
+        "isomorphism search; exit 5 beyond it (default %d)" % DEFAULT_ISO_BUDGET,
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("decompose", help="orbit summand decomposition report")
     p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--domain", default="F5")
+    p.add_argument("--domain", default=None, help="the field of a table file's ring (default F5)")
     p.add_argument("--complex-dihedral", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decompose)

@@ -335,40 +335,105 @@ def _find_isomorphism(x, y, inv_x, inv_y):
 
 
 def canonical_form(x):
-    """Lexicographically minimal row-major table over all relabelings.
+    """The least leaf table of an individualisation-refinement search
+    (McKay & Piperno, "Practical graph isomorphism, II", 2014).
 
-    Full search over n! relabelings with early lexicographic abort;
-    deterministic and idempotent.
+    The table is read as the ternary relation i>j = k, and the search
+    works on ordered partitions of the elements.
+    1. Start from the cells of equal `_element_invariants`, in sorted
+       order of the invariant.
+    2. Refine: split each cell by the signature of v, the sorted multiset
+       of (cell(j), cell(v>j), cell(j>v)) over all j, new cells in
+       signature order, until no cell splits (the partition is equitable).
+    3. Branch: individualise each member of the first cell with more than
+       one element, that is, put it in a cell of its own ahead of the rest
+       of the cell, and refine again.
+    4. A discrete partition numbers the elements by cell; the table in
+       those labels is a leaf table, and the result is the least one.
+    Cell order reads only cell indices, never labels, so every relabeling
+    of x has the same leaf tables, and isomorphic quandles get equal
+    results.  A leaf equal to the first leaf or to the least one so far
+    gives an automorphism; only those two leaves are kept.  A member is
+    skipped when the automorphisms found that fix the path pointwise map
+    it onto a member already tried, as its subtree has the same leaf
+    tables.  The least leaf is in general not the lexicographically least
+    table over all n! relabelings.
     """
     n = x.n
     if n > CANONICAL_MAX_N:
         raise CapacityError("canonical_form limited to n <= %d" % CANONICAL_MAX_N)
     t = x.table
-    best = None
-    for sigma in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, v in enumerate(sigma):
-            inv[v] = i
-        flat = []
-        worse = False
-        comparing = best is not None
-        for a in range(n):
-            ia = inv[a]
-            for b in range(n):
-                entry = sigma[t[ia][inv[b]]]
-                if comparing:
-                    cmp = best[len(flat)]
-                    if entry > cmp:
-                        worse = True
-                        break
-                    if entry < cmp:
-                        comparing = False  # strictly better prefix
-                flat.append(entry)
-            if worse:
-                break
-        if not worse and not comparing:
-            best = tuple(flat)
-    return tuple(tuple(best[a * n:(a + 1) * n]) for a in range(n))
+    inv = _element_invariants(x)
+    leaves = []  # the first leaf and the least later one: (table, the elements in label order)
+    autos = []
+
+    def search(cells, path):
+        cells = _refine(t, cells)
+        c = next((c for c, cell in enumerate(cells) if len(cell) > 1), None)
+        if c is None:
+            order = [cell[0] for cell in cells]
+            label = [0] * n
+            for a, v in enumerate(order):
+                label[v] = a
+            table = tuple(label[t[v][w]] for v in order for w in order)  # row-major
+            for kept, kept_order in leaves:
+                if kept == table:  # order[a] -> kept_order[a] maps x onto itself
+                    autos.append(tuple(kept_order[label[v]] for v in range(n)))
+                    return
+            if len(leaves) < 2:
+                leaves.append((table, order))
+            elif table < leaves[1][0]:
+                leaves[1] = (table, order)
+            return
+        tried = []
+        for v in cells[c]:
+            fixing = [g for g in autos if all(g[p] == p for p in path)]
+            if _orbit(v, fixing).isdisjoint(tried):
+                tried.append(v)
+                rest = [w for w in cells[c] if w != v]
+                search(cells[:c] + [[v], rest] + cells[c + 1:], path + [v])
+
+    search([[v for v in range(n) if inv[v] == key] for key in sorted(set(inv))], [])
+    del search  # it refers to itself: unlink it so the search state is freed now
+    best = min(leaves)[0]
+    return tuple(best[a * n:(a + 1) * n] for a in range(n))
+
+
+def _refine(t, cells):
+    """The equitable refinement of the ordered partition cells, see
+    `canonical_form`."""
+    n = len(t)
+    while True:
+        cell_of = [0] * n
+        for c, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = c
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            parts = {}
+            for v in cell:
+                row = t[v]
+                signature = tuple(sorted((cell_of[j], cell_of[row[j]], cell_of[t[j][v]]) for j in range(n)))
+                parts.setdefault(signature, []).append(v)
+            split.extend(parts[s] for s in sorted(parts))
+        if len(split) == len(cells):
+            return cells
+        cells = split
+
+
+def _orbit(v, gens):
+    """The orbit of v under the group the permutations gens generate."""
+    orbit, stack = {v}, [v]
+    while stack:
+        w = stack.pop()
+        for g in gens:
+            if g[w] not in orbit:
+                orbit.add(g[w])
+                stack.append(g[w])
+    return orbit
 
 
 def _diagonal_fixing_perms(n, j):
@@ -472,8 +537,10 @@ def _enumerate(n):
        columns has then been checked, so a complete table is a quandle.
     3. Complete tables are bucketed by their sorted per-element
        invariants, which fix the partition type; one is kept only when
-       `_find_isomorphism` matches no representative of its bucket.  `canonical_form` runs once per
-       class, and the result is sorted by canonical table.
+       `_find_isomorphism` matches no representative of its bucket.
+       `canonical_form` runs once per class, and the result is sorted by
+       canonical table: the least leaf table of its search, a relabeling
+       of the class, not in general its lex-min table.
     """
     type_reps = _cycle_type_reps(n)
     rank_of_type = {_cycle_lengths(rep): r for r, rep in enumerate(type_reps)}

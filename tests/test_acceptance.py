@@ -47,6 +47,7 @@ from quandlekit.rings import (
 from quandlekit.symmetry import (
     enumerate_quandles,
     is_left_peak_2transitive,
+    is_right_2transitive,
     is_right_orbit_2transitive,
     quandle_polynomial,
     quandles_isomorphic,
@@ -115,6 +116,26 @@ def test_criterion_01_report_order7():
     )
     elapsed = time.monotonic() - start
     record_report(1, "classes/right-2t/left-2t for n=7 (non-gating): %s" % (counts,), elapsed)
+
+
+def test_criterion_01_report_order8():
+    start = time.monotonic()
+    qs = enumerate_quandles(8, bound=8)
+    counts = (
+        len(qs),
+        sum(is_right_orbit_2transitive(q) for q in qs),
+        sum(is_left_peak_2transitive(q) for q in qs),
+    )
+    # Inn(X) 2-transitive on X: the affine quandles over F_8, one per
+    # Frobenius class of primitive elements, so 2 are expected
+    affine = sum(is_right_2transitive(q) for q in qs)
+    elapsed = time.monotonic() - start
+    record_report(
+        1,
+        "classes/right-2t/left-2t for n=8 (non-gating; OEIS A057991 gives 1581 classes): %s; "
+        "Inn(X) 2-transitive: %d (2 expected)" % (counts, affine),
+        elapsed,
+    )
 
 
 def test_criterion_02_power_associativity():

@@ -504,6 +504,22 @@ def test_iso_matrix_needs_ring_domain(tmp_path, capsys):
         assert "--ring-domain" in err
 
 
+def test_iso_budget_needs_the_ring_search(tmp_path, capsys):
+    # --budget bounds only find_ring_isomorphism: refused where it would
+    # be ignored; without it the search runs on its default budget
+    a = tmp_path / "a.json"
+    run(capsys, "make", "trivial", "3", "-o", str(a))
+    eye = write_json(tmp_path / "eye.json", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for extra in ([], ["--ring-domain", "F3", "--matrix", eye]):
+        code, stdout, err = run(capsys, "iso", str(a), str(a), "--budget", "1", "--json", *extra)
+        assert code == 2
+        assert stdout == ""
+        assert "--budget" in err
+    code, stdout, _ = run(capsys, "iso", str(a), str(a), "--ring-domain", "F3", "--json")
+    assert code == 0
+    assert json.loads(stdout)["outputs"]["ring_iso"] is not None
+
+
 def test_decompose_file_mode(tmp_path, capsys):
     path = tmp_path / "r3.json"
     run(capsys, "make", "dihedral", "3", "-o", str(path))
@@ -581,6 +597,21 @@ def test_decompose_file_and_complex_mode_is_bad_parameters(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert "not both" in err
+
+
+def test_decompose_complex_mode_takes_no_domain(tmp_path, capsys):
+    # complex mode picks its own prime, so any --domain is refused; table
+    # mode still defaults to F5
+    for domain in ("F5", "F7", "banana"):
+        code, stdout, err = run(capsys, "decompose", "--complex-dihedral", "6", "--domain", domain)
+        assert code == 2
+        assert stdout == ""
+        assert "--domain" in err
+    path = tmp_path / "r3.json"
+    run(capsys, "make", "dihedral", "3", "-o", str(path))
+    outputs = [run(capsys, "decompose", str(path), *extra, "--json") for extra in ([], ["--domain", "F5"])]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 def test_decompose_without_input_is_bad_parameters(capsys):

@@ -1,20 +1,25 @@
-"""The enumerator against the search it replaced.
+"""The enumerator and the canonical form against the searches they
+replaced.
 
 `oracle_enumerate` is the earlier enumerator, kept here as a
 differential oracle: every column ranges over all (n-1)! permutations
 fixing its index, each placement rescans the axiom III instances it made
-decidable, and every complete table is canonicalised.  It is exponential
-in n, so it is compared for n <= 5 only.
+decidable, and every complete table is canonicalised by
+`oracle_canonical_form`, the earlier n! relabeling scan.  Both are
+exponential in n, so the enumerator is compared for n <= 5 only.
 """
 
 import itertools
 import random
+import time
 
 import pytest
 
-from quandlekit.quandles import Quandle, validate_table
+from quandlekit.quandles import Quandle, trivial_quandle, validate_table
 from quandlekit.symmetry import (
     _cycle_type_reps,
+    _element_invariants,
+    _find_isomorphism,
     canonical_form,
     enumerate_quandles,
     quandles_isomorphic,
@@ -50,6 +55,48 @@ def _partial_axiom3_ok(t, n, c):
     return True
 
 
+def oracle_canonical_form(x):
+    """The lexicographically least row-major table over all n! relabelings,
+    with an early abort on a prefix worse than the best."""
+    n = x.n
+    t = x.table
+    best = None
+    for sigma in itertools.permutations(range(n)):
+        inv = [0] * n
+        for i, v in enumerate(sigma):
+            inv[v] = i
+        flat = []
+        worse = False
+        comparing = best is not None
+        for a in range(n):
+            ia = inv[a]
+            for b in range(n):
+                entry = sigma[t[ia][inv[b]]]
+                if comparing:
+                    cmp = best[len(flat)]
+                    if entry > cmp:
+                        worse = True
+                        break
+                    if entry < cmp:
+                        comparing = False  # strictly better prefix
+                flat.append(entry)
+            if worse:
+                break
+        if not worse and not comparing:
+            best = tuple(flat)
+    return tuple(tuple(best[a * n:(a + 1) * n]) for a in range(n))
+
+
+def relabel(q, sigma):
+    """q with each element v renamed sigma[v], through the checked constructor."""
+    n = q.n
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[sigma[i]][sigma[j]] = sigma[q.op(i, j)]
+    return Quandle.from_table(table)
+
+
 def oracle_enumerate(n):
     columns = [_fixing_perms(n, j) for j in range(n)]
     t = [[None] * n for _ in range(n)]
@@ -57,7 +104,7 @@ def oracle_enumerate(n):
 
     def place(c):
         if c == n:
-            found.add(canonical_form(Quandle(n, tuple(tuple(r) for r in t))))
+            found.add(oracle_canonical_form(Quandle(n, tuple(tuple(r) for r in t))))
             return
         for col in columns[c]:
             for i in range(n):
@@ -89,7 +136,10 @@ def cycle_type(perm):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumeration_matches_oracle(n):
-    assert enumerate_quandles(n) == oracle_enumerate(n)
+    # the same classes, one representative each: the representatives'
+    # lex-min tables are the oracle's tables
+    got = sorted(oracle_canonical_form(q) for q in enumerate_quandles(n))
+    assert got == [q.table for q in oracle_enumerate(n)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -101,11 +151,7 @@ def test_each_relabeled_class_matches_exactly_one(n):
     for q in qs:
         sigma = list(range(n))
         rng.shuffle(sigma)
-        table = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                table[sigma[i]][sigma[j]] = sigma[q.op(i, j)]
-        moved = Quandle.from_table(table)
+        moved = relabel(q, sigma)
         assert sum(quandles_isomorphic(moved, r) is not None for r in qs) == 1
 
 
@@ -129,8 +175,38 @@ def test_cycle_type_reps(n):
     assert len(set(types)) == len(types)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_enumerated_tables_are_quandles(n):
     for q in enumerate_quandles(n):
         assert validate_table(n, q.table).ok
         assert canonical_form(q) == q.table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_canonical_forms_agree_exactly_on_isomorphic_tables(n):
+    # three seeded relabelings of each class, against every representative
+    # with the same sorted invariants: equal canonical tables exactly when
+    # the backtracking finds an isomorphism
+    rng = random.Random(1000 + n)
+    reps = enumerate_quandles(n)
+    buckets = {}
+    for r in reps:
+        inv = _element_invariants(r)
+        buckets.setdefault(tuple(sorted(inv)), []).append((r, inv, canonical_form(r)))
+    for q in reps:
+        for _ in range(3):
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            moved = relabel(q, sigma)
+            inv = _element_invariants(moved)
+            form = canonical_form(moved)
+            for r, inv_r, form_r in buckets[tuple(sorted(inv))]:
+                assert (form == form_r) == (_find_isomorphism(moved, r, inv, inv_r) is not None)
+
+
+def test_canonical_form_of_the_most_symmetric_order8_quandle_is_fast():
+    # Aut is all of S_8: the automorphism prune keeps the leaves few
+    start = time.perf_counter()
+    form = canonical_form(trivial_quandle(8))
+    assert time.perf_counter() - start < 0.1
+    assert form == trivial_quandle(8).table
