@@ -1,13 +1,18 @@
 """Exact linear algebra: the integer Hermite normal form (HNF), the Smith
-invariant factors read off HNFs of the rows and columns in turn, and row
-reduction over Q or F_p, in plain Python arithmetic on ints and Fractions.
+invariant factors, and row reduction over Q or F_p, in plain Python
+arithmetic on ints and Fractions.
 
 Both reduced forms are built one row at a time by an echelon form whose
 ``insert`` reports whether the span grew.  The integer HNF stays reduced
 after every change, each row's entries at the later pivots in [0, pivot),
-which keeps intermediate entries from swelling.
+which keeps intermediate entries from swelling.  Its pivot columns are kept
+in one ascending list, so each reduction walks only the pivots it needs and
+``hnf_coordinates`` walks right from one pivot to the next.  The Smith form
+splits off each +-1 entry as a factor 1 before its HNF turns.
 """
 
+from bisect import bisect_left, bisect_right, insort
+from itertools import islice
 from math import gcd
 
 from .domains import ZZ
@@ -42,23 +47,29 @@ class IntegerEchelon(_Echelon):
     """Row-style HNF, pivots positive and entries above them in [0, pivot);
     a row is cleared at each pivot by the exact quotient, else by Euclid."""
 
+    def __init__(self):
+        super().__init__()
+        self.pivots = []  # pivot columns, ascending
+
     def _reduced(self, row, c):
         # entries at the pivots after c into [0, pivot), or they swell
-        for k, top in sorted(self.basis.items()):
-            q = row[k] // top[k] if k > c else 0
+        basis, pivots = self.basis, self.pivots
+        for k in pivots[bisect_right(pivots, c):]:
+            q = row[k] // basis[k][k]
             if q:
-                row = [a - q * b for a, b in zip(row, top)]
+                row = [a - q * b for a, b in zip(row, basis[k])]
         return row
 
     def insert(self, row):
         """Add row to the lattice; True when the lattice grew."""
-        basis, row, grew = self.basis, self._checked(row), False
+        basis, pivots, row, grew = self.basis, self.pivots, self._checked(row), False
         for c in range(self.ncols):
             if not row[c]:
                 continue
             top = basis.get(c)
             if top is None:
                 top, row = row, None
+                insort(pivots, c)
             else:
                 q, r = divmod(row[c], top[c])
                 if not r:
@@ -69,8 +80,8 @@ class IntegerEchelon(_Echelon):
                     top, row = row, [a - q * b for a, b in zip(top, row)]
             grew = True
             top = basis[c] = self._reduced(top if top[c] > 0 else [-a for a in top], c)
-            for k in basis:
-                q = basis[k][c] // top[c] if k < c else 0
+            for k in pivots[:bisect_left(pivots, c)]:
+                q = basis[k][c] // top[c]
                 if q:
                     basis[k] = self._reduced([a - q * b for a, b in zip(basis[k], top)], c)
             if row is None:
@@ -124,19 +135,23 @@ def hermite_normal_form(rows):
 
 def hnf_coordinates(hnf_rows, v):
     """Express v as an integer combination of HNF basis rows, or None."""
-    v = list(v)
-    coords = []
+    v, coords, p = list(v), [], -1
+    n = len(v)
     for row in hnf_rows:
-        p = next(c for c, val in enumerate(row) if val != 0)
-        if v[p] % row[p] != 0:
+        if len(row) != n:
+            raise DimensionMismatchError("vector length does not match the rows")
+        start = p = p + 1
+        while p < n and not row[p]:
+            p += 1
+        if p == n or any(islice(row, start)):
+            raise PreconditionError("rows are not in echelon order")
+        q, r = divmod(v[p], row[p])
+        if r:
             return None
-        q = v[p] // row[p]
         if q:
             v = [a - q * b for a, b in zip(v, row)]
         coords.append(q)
-    if any(v):
-        return None
-    return coords
+    return None if any(v) else coords
 
 
 def lattice_contains(hnf_rows, v):
@@ -144,22 +159,32 @@ def lattice_contains(hnf_rows, v):
 
 
 def smith_normal_form(matrix):
-    """Invariant factors d_1 | d_2 | ... of an integer matrix, after
-    Kannan and Bachem (1979): the HNF of the rows, then the HNF of its
-    columns, and so on in turns until the form is diagonal; then each pair
-    (d_i, d_j), i < j, becomes (gcd, lcm).
+    """Invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    First each entry u = +-1 splits off a factor 1: at (i, j) it clears
+    column j of the other rows by row operations, then row i off column j
+    by column operations, which touch no other row once column j is clear.
+    All are unimodular, so the factors are 1 and those of the other rows,
+    whose column j is now zero.  These go to Kannan and Bachem (1979): the
+    HNF of the rows, then the HNF of its columns, and so on in turns until
+    the form is diagonal; then each pair (d_i, d_j), i < j, becomes (gcd, lcm).
 
     The turns end: each makes the first diagonal entry whose row or column
     still holds another nonzero entry the gcd of that column or row, so
     the entry falls to a proper divisor, or it divides the rest and the
     next turn clears its row and column for good.
     """
-    rows = matrix
+    rows, units = [list(row) for row in matrix], 0
+    if len({len(row) for row in rows}) > 1:
+        raise DimensionMismatchError("ragged matrix")
+    while hit := next(((i, j) for i, row in enumerate(rows) for j, a in enumerate(row) if a in (1, -1)), None):
+        top, j, units = rows.pop(hit[0]), hit[1], units + 1
+        rows = [[a - row[j] * top[j] * b for a, b in zip(row, top)] if row[j] else row for row in rows]
     while True:
         form = IntegerEchelon()
         for row in rows:
             form.insert(row)
-        rows = [form.basis[c] for c in sorted(form.basis)]
+        rows = [form.basis[c] for c in form.pivots]
         if not any(any(row[i + 1:]) for i, row in enumerate(rows)):
             break
         rows = [[row[j] for row in rows] for j in range(form.ncols)]
@@ -168,7 +193,7 @@ def smith_normal_form(matrix):
         for j in range(i + 1, len(factors)):
             g = gcd(factors[i], factors[j])
             factors[i], factors[j] = g, factors[i] // g * factors[j]
-    return factors
+    return [1] * units + factors
 
 
 def rref(rows, domain):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.errors import DimensionMismatchError, PreconditionError
-from quandlekit.lattices import span
+from quandlekit.lattices import delta_powers, span
 from quandlekit.linalg import (
+    IntegerEchelon,
     field_rank,
     hermite_normal_form,
     hnf_coordinates,
@@ -141,6 +142,70 @@ def test_hnf_coordinates_roundtrip():
     assert hnf_coordinates(h, (1, 0, 0)) is None
 
 
+def test_hnf_coordinates_roundtrip_when_pivots_skip_columns():
+    rng = random.Random(2022)
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        zero_cols = set(rng.sample(range(n), rng.randint(1, n - 1)))
+        rows = [[0 if j in zero_cols else rng.randint(-4, 4) for j in range(n)] for _ in range(rng.randint(1, n))]
+        h = hermite_normal_form(rows)
+        coords = [rng.randint(-5, 5) for _ in h]
+        v = [sum(c * row[j] for c, row in zip(coords, h)) for j in range(n)]
+        assert hnf_coordinates(h, v) == coords == hnf_coordinates(h, iter(v))
+        assert lattice_contains(h, v)
+    h = [(0, 2, 1, 0, 0), (0, 0, 0, 3, 1)]  # pivots 1 and 3
+    assert hnf_coordinates(h, (0, 4, 2, -3, -1)) == [2, -1]
+    assert hnf_coordinates(h, (0, 4, 2, -3, 0)) is None
+    assert hnf_coordinates(h, (1, 0, 0, 0, 0)) is None
+
+
+def test_hnf_coordinates_rejects_a_length_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        lattice_contains([(1, 0)], (1, 0, 5))
+    with pytest.raises(DimensionMismatchError):
+        hnf_coordinates([(1, 0, 0)], (1, 0))
+    with pytest.raises(DimensionMismatchError):
+        hnf_coordinates([(1, 0), (0, 1, 0)], (1, 1))
+
+
+def test_hnf_coordinates_rejects_rows_out_of_echelon_order():
+    for rows in (
+        [(0, 0)],  # a zero row
+        [(1, 0), (0, 0)],
+        [(0, 1), (1, 0)],  # pivot left of the previous one
+        [(1, 0), (2, 0)],  # the same pivot twice
+        [(0, 1, 0), (1, 0, 1)],
+    ):
+        with pytest.raises(PreconditionError):
+            hnf_coordinates(rows, (0,) * len(rows[0]))
+        with pytest.raises(PreconditionError):
+            lattice_contains(rows, (0,) * len(rows[0]))
+
+
+def test_integer_echelon_any_insertion_order_gives_the_hnf():
+    rng = random.Random(4115)
+    cases = [
+        [(2, 1), (3, 0)],  # a Euclid step at the existing pivot 0
+        [(3, 0), (2, 1)],
+        [(0, 0, 5), (0, 3, 1), (2, 1, 1), (0, 0, 0)],
+        [(4, 6, 2), (6, 9, 3), (2, 0, 8)],
+    ]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        cases.append([tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(rng.randint(1, 6))])
+    for rows in cases:
+        want = hermite_normal_form(sorted(rows))
+        orders = [sorted(rows), sorted(rows, reverse=True)] + [rng.sample(rows, len(rows)) for _ in range(4)]
+        for order in orders:
+            form = IntegerEchelon()
+            form.extend(order)
+            assert form.rows() == want, (rows, order)
+            assert form.pivots == sorted(form.basis)  # each pivot once, ascending
+    form = IntegerEchelon()
+    assert form.insert((2, 1)) and form.insert((3, 0))
+    assert form.pivots == [0, 1] and form.rows() == [(1, 2), (0, 3)]
+
+
 def test_snf_known_cases():
     assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
     assert smith_normal_form([[0, 0], [0, 0]]) == []
@@ -168,6 +233,51 @@ def test_snf_5x5_against_minors():
         a = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
         assert smith_normal_form(a) == minors_gcd_factors(a)
     assert smith_normal_form([[9, -9, 0, 3, 6]] * 5) == [3]
+
+
+def test_snf_rejects_a_ragged_matrix():
+    for matrix in ([[1, 2], [3]], [[3], [1, 2]], [[-1, 0, 0], [2, 2]]):
+        with pytest.raises(DimensionMismatchError):
+            smith_normal_form(matrix)
+
+
+def test_snf_unit_entries_against_minors():
+    rng = random.Random(1979)
+    cases = [
+        [[-1]],
+        [[-1, -1], [-1, -1]],
+        [[-1, 0, -1], [0, -1, -1], [-1, -1, 0]],
+        [[2, -1, 4], [-1, 6, 2]],
+        [[0, 0, 0], [0, -1, 0], [0, 0, 0]],
+        [[2, 4], [6, 8], [4, -2]],  # no unit entry: only the turns run
+        [[0, 0], [0, 0], [6, 0]],
+    ]
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        kind = rng.randrange(4)
+        if kind == 0:  # only -1 and 0
+            a = [[rng.choice((-1, 0, 0)) for _ in range(n)] for _ in range(m)]
+        elif kind == 1:  # every entry even: no unit, only the turns
+            a = [[2 * rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        else:  # +-1 anywhere among larger entries
+            a = [[rng.choice((-1, 1, rng.randint(-6, 6))) for _ in range(n)] for _ in range(m)]
+        for _ in range(rng.randint(0, 1)):  # a zero row or a zero column
+            if rng.random() < 0.5:
+                a.insert(rng.randint(0, m), [0] * n)
+            else:
+                j = rng.randint(0, n)
+                a = [row[:j] + [0] + row[j:] for row in a]
+        cases.append(a)
+    for a in cases:
+        assert smith_normal_form(a) == minors_gcd_factors(a), a
+
+
+def test_snf_of_delta_relation_matrices_against_minors():
+    for n in range(3, 10):
+        powers = delta_powers(dihedral_quandle(n), ZZ, 4)
+        for a, b in zip(powers, powers[1:]):
+            relations = [hnf_coordinates(a.basis, v) for v in b.basis]
+            assert smith_normal_form(relations) == minors_gcd_factors(relations), (n, relations)
 
 
 def random_matrix(rng, max_dim=4, lo=-2, hi=2):
