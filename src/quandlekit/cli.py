@@ -74,7 +74,6 @@ from .symmetry import (
     is_left_2transitive,
     is_left_cyclic_type,
     is_left_peak_2transitive,
-    is_right_2transitive,
     is_right_cyclic_type,
     is_right_orbit_2transitive,
     quandle_polynomial,
@@ -294,16 +293,18 @@ def cmd_make(args):
 def quandle_summary(q):
     orbs = orbits(q)
     qp = quandle_polynomial(q)
+    latin = all(len(set(row)) == q.n for row in q.table)
+    right2t, left2t = is_right_orbit_2transitive(q), is_left_peak_2transitive(q)
     return {
         "n": q.n,
         "orbits": [list(o) for o in orbs],
         "partition_type": list(orbit_partition_type(orbs, q.n)),
         "connected": len(orbs) == 1,
-        "latin": all(len(set(row)) == q.n for row in q.table),
-        "right2t": is_right_orbit_2transitive(q),
-        "right2t_global": is_right_2transitive(q),
-        "left2t": is_left_peak_2transitive(q),
-        "left2t_global": is_left_2transitive(q),
+        "latin": latin,
+        "right2t": right2t,
+        "right2t_global": right2t and len(orbs) == 1,  # X is then its one orbit
+        "left2t": left2t,
+        "left2t_global": left2t if latin else is_left_2transitive(q),  # latin rows generate a group
         "right_cyclic": is_right_cyclic_type(q),
         "left_cyclic": is_left_cyclic_type(q),
         "qp": qp.to_json(),
@@ -427,7 +428,8 @@ def cmd_power_assoc(args):
     box = list(DEFAULT_WITNESS_BOX)
     if witness is None:
         payload = {"witness": None, "domain": repr(domain), "box": box}
-        _emit(args, payload, ["power associative"])
+        # Albert's reduction to the two identities needs characteristic 0
+        _emit(args, payload, ["power associative" if domain.char == 0 else "both Albert identities hold"])
     else:
         payload = {
             "witness": {

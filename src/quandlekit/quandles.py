@@ -23,6 +23,7 @@ AXIOM_IDEMPOTENCE = "I"
 AXIOM_RIGHT_INVERTIBLE = "II"
 AXIOM_SELF_DISTRIBUTIVE = "III"
 MAX_WITNESSES = 10  # reported per axiom
+SCAN_MAX_N = 8  # up to this order the n^3 scan of axiom III is cheaper than finding generators
 
 
 @dataclass(frozen=True)
@@ -54,13 +55,24 @@ def validate_table(n, table):
     """Check the three quandle axioms, reporting the first MAX_WITNESSES
     witnesses of each in lexicographic order.
 
+    Above SCAN_MAX_N, once every column is onto, axiom III is decided at
+    the k of `generating_set`, and the n^3 scan runs only if that fails.
+
     Raises MalformedTableError for structurally broken input; axiom
     violations are reported, not raised.
     """
     _check_shape(n, table)
+    not_onto = [(j,) for j, column in enumerate(zip(*table)) if len(set(column)) != n]
+    # The k whose R_k respects > are closed under >, as R_(a>b) = R_b R_a R_b^-1
+    # when R_b is an automorphism; so they are all of X if they hold its generators.
+    scan = not_onto or n <= SCAN_MAX_N or not all(
+        [r[v] for v in row] == [table[r[i]][v] for v in r]  # R_k(i > j) = R_k(i) > R_k(j)
+        for r in ([row[k] for row in table] for k in generating_set(Quandle(n, table)))
+        for i, row in enumerate(table)
+    )
     scans = (
         (AXIOM_IDEMPOTENCE, ((i,) for i in range(n) if table[i][i] != i)),
-        (AXIOM_RIGHT_INVERTIBLE, ((j,) for j, column in enumerate(zip(*table)) if len(set(column)) != n)),
+        (AXIOM_RIGHT_INVERTIBLE, not_onto),
         (
             AXIOM_SELF_DISTRIBUTIVE,
             # (i > j) > k against (i > k) > (j > k)
@@ -70,7 +82,9 @@ def validate_table(n, table):
                 for j, row_j in enumerate(table)
                 for k, ij_k in enumerate(table[row_i[j]])
                 if ij_k != table[row_i[k]][row_j[k]]
-            ),
+            )
+            if scan
+            else (),
         ),
     )
     violations = tuple((axiom, w) for axiom, found in scans for w in islice(found, MAX_WITNESSES))
@@ -206,27 +220,19 @@ def disjoint_union(x, y):
 def orbits(x):
     """Orbit partition of [0,n) under Inn(X), as a sorted tuple of sorted tuples.
 
-    Columns are bijections of a finite set, so closure under the columns
-    alone already yields the Inn(X)-orbits.
+    Row i holds every R_j(i), and the columns are bijections of a finite
+    set, so closing a point under the rows gives its Inn(X)-orbit.
     """
-    n = x.n
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for j in range(n):
-        for i in range(n):
-            a, b = find(i), find(x.table[i][j])
-            if a != b:
-                parent[a] = b
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    found, seen = [], set()
+    for i in range(x.n):
+        if i not in seen:
+            orbit, new = {i}, {i}
+            while new:
+                new = set().union(*(x.table[u] for u in new)) - orbit
+                orbit |= new
+            seen |= orbit
+            found.append(tuple(sorted(orbit)))
+    return tuple(found)
 
 
 def partition_type(x):

@@ -52,14 +52,7 @@ def _closure(gens, cap):
 
 def inner_group(x, cap=DEFAULT_CLOSURE_CAP):
     """Inn(X) as a frozenset: the closure of the right translations."""
-    gens = tuple(right_translation(x, j) for j in range(x.n))
-    for g in gens:
-        # axiom III makes every column an automorphism; cheap sanity assert
-        for i in range(x.n):
-            for j in range(x.n):
-                if g[x.table[i][j]] != x.table[g[i]][g[j]]:
-                    raise QuandleKitError("right translation is not an automorphism; not a quandle")
-    return frozenset(_closure(gens, cap))
+    return frozenset(_closure([right_translation(x, j) for j in range(x.n)], cap))
 
 
 def restricted_action(elements, subset):
@@ -84,12 +77,15 @@ def reaches_every_pair(gens, m):
     The pair digraph has the ordered pairs (a, b) of distinct points as
     nodes and an edge (a, b) -> (g[a], g[b]) for each map g with
     g[a] != g[b].  The answer is whether (0, 1) reaches every pair and
-    every pair reaches (0, 1): one search follows images, the other goes
-    back through the fibres of each map.  A pair that collapses to (a, a)
-    never becomes distinct again, so this is strong connectivity, and it
-    decides groups and semigroups alike.  Visited pairs are flagged at
-    a * m + b in one flat bytearray, lighter than a set of tuples.  True
-    when m < 2.
+    every pair reaches (0, 1).  A pair that collapses to (a, a) never
+    becomes distinct again, so this is strong connectivity, and it
+    decides groups and semigroups alike.  One search follows images and
+    stops once it has seen every pair.  When every map is a permutation
+    that search decides alone: the maps generate a group, and
+    g^-1 = g^(ord g - 1) puts every edge on a cycle.  Otherwise a second
+    search goes back through the fibres of each map, built in one pass
+    over it.  Visited pairs are flagged at a * m + b in one flat
+    bytearray, lighter than a set of tuples.  True when m < 2.
     """
     if m < 2:
         return True
@@ -97,19 +93,25 @@ def reaches_every_pair(gens, m):
     def spread(neighbours):
         seen = bytearray(m * m)
         seen[1] = 1
-        stack = [(0, 1)]
-        count = 1
+        stack, left = [(0, 1)], m * (m - 1) - 1
         while stack:
             for c, d in neighbours(*stack.pop()):
                 if not seen[c * m + d]:
                     seen[c * m + d] = 1
-                    count += 1
+                    left -= 1
+                    if not left:
+                        return True
                     stack.append((c, d))
-        return count == m * (m - 1)
+        return False
 
     if not spread(lambda a, b: [(g[a], g[b]) for g in gens if g[a] != g[b]]):
         return False
-    fibres = [[[a for a in range(m) if g[a] == c] for c in range(m)] for g in gens]
+    if all(len(set(g)) == m for g in gens):
+        return True
+    fibres = [[[] for _ in range(m)] for _ in gens]
+    for g, fibre in zip(gens, fibres):
+        for a, c in enumerate(g):
+            fibre[c].append(a)
     return spread(lambda c, d: [(a, b) for fibre in fibres for a in fibre[c] for b in fibre[d]])
 
 

@@ -350,7 +350,12 @@ def test_power_assoc_none_for_trivial(tmp_path, capsys):
     run(capsys, "make", "trivial", "4", "-o", str(path))
     code, stdout, _ = run(capsys, "power-assoc", str(path), "--domain", "F5")
     assert code == 0
-    assert stdout == "power associative\n"
+    # over F_p the verdict names what it decides, the two Albert identities
+    assert stdout == "both Albert identities hold\n"
+    for domain in ("Q", "Z"):
+        code, stdout, _ = run(capsys, "power-assoc", str(path), "--domain", domain)
+        assert code == 0
+        assert stdout == "power associative\n"
 
 
 def test_power_assoc_text_over_q(tmp_path, capsys):

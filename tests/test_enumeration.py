@@ -210,3 +210,14 @@ def test_canonical_form_of_the_most_symmetric_order8_quandle_is_fast():
     form = canonical_form(trivial_quandle(8))
     assert time.perf_counter() - start < 0.1
     assert form == trivial_quandle(8).table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_canonical_form_is_one_table_under_every_relabeling(n):
+    # every relabeling of each class up to order 5, and 20 seeded ones of
+    # each class of order 6: the automorphism prune may skip a member only
+    # when its subtree repeats leaves already seen
+    rng = random.Random(2300 + n)
+    for q in enumerate_quandles(n):
+        sigmas = itertools.permutations(range(n)) if n <= 5 else (rng.sample(range(n), n) for _ in range(20))
+        assert {canonical_form(relabel(q, sigma)) for sigma in sigmas} == {q.table}

@@ -1,9 +1,10 @@
 """Differential tests of the pair-digraph kernel, the group closure and
 the peak 2-transitivity kernel against the searches they replaced.
 
-``reaches_every_pair`` decides 2-transitivity by two searches of the
-digraph on ordered pairs of distinct points, one forward and one
-backward, from the single pair (0, 1).  The oracles below are the earlier
+``reaches_every_pair`` decides 2-transitivity by searches of the digraph
+on ordered pairs of distinct points from the single pair (0, 1): one
+forward, which alone decides when every map is a permutation, and one
+backward otherwise.  The oracles below are the earlier
 implementations: a depth-first orbit count for groups, a breadth-first
 reachability set from every pair for semigroups, and the one-step image
 check for collections closed under composition.  They are quadratic in
@@ -14,6 +15,9 @@ closure of permutations.  ``oracle_maximal_subgroups`` finds the units of
 eSe at every idempotent by a pairwise search for inverses, quadratic in
 |eSe|; ``peak_2transitive``, which reads only the generators, is checked
 against the one-step check on the peak subgroups it finds.
+``oracle_orbits`` is the union-find that ``orbits`` replaced, and
+``quandle_summary``, which derives the two global predicates from the
+others, is checked against the predicates themselves.
 """
 
 import itertools
@@ -23,10 +27,12 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandlekit.cli import quandle_summary
 from quandlekit.quandles import (
     Quandle,
     alexander_quandle,
     conjugation_quandle,
+    core_quandle,
     dihedral_quandle,
     disjoint_union,
     left_translation,
@@ -406,3 +412,109 @@ def test_constant_maps_isolate_every_pair():
     assert reaches_every_pair([(1, 0)], 2)
     # the collapse (0, 1) -> (0, 0) is an edge to no pair
     assert reaches_every_pair([(0, 0), (1, 0)], 2)
+
+
+def mixed_map_sets(m):
+    """At least one permutation and at least one map that is not injective."""
+    perms = st.lists(st.permutations(list(range(m))).map(tuple), min_size=1, max_size=3)
+    collapsing = st.lists(st.integers(0, m - 1), min_size=m, max_size=m).map(tuple).filter(lambda g: len(set(g)) < m)
+    maps = st.tuples(perms, st.lists(collapsing, min_size=1, max_size=2)).flatmap(lambda p: st.permutations(p[0] + p[1]))
+    return st.tuples(st.just(m), maps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 5).flatmap(mixed_map_sets))
+def test_permutations_mixed_with_collapsing_maps(case):
+    # a collapsing map keeps the backward search, though the permutations
+    # alone would generate a group
+    m, gens = case
+    assert reaches_every_pair(gens, m) == oracle_semigroup_2transitive(gens, m)
+    perms = [g for g in gens if len(set(g)) == m]
+    if oracle_pair_orbit_count(perms, m) == 1:
+        assert reaches_every_pair(gens, m)
+
+
+class CountedMap(tuple):
+    """A map that counts the lookups made in it."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        CountedMap.lookups += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_forward_search_stops_once_every_pair_is_seen():
+    # S_m from a transposition and an m-cycle: the search looks each map up
+    # four times per pair it expands, so expanding every pair would take
+    # 4 * len(gens) * m * (m - 1) lookups and a backward search as many
+    # again; it stops before either
+    for m in range(3, 9):
+        gens = [CountedMap((1, 0) + tuple(range(2, m))), CountedMap(tuple(range(1, m)) + (0,))]
+        CountedMap.lookups = 0
+        assert reaches_every_pair(gens, m)
+        assert CountedMap.lookups < 4 * len(gens) * m * (m - 1)
+        assert oracle_pair_orbit_count(gens, m) == 1
+    # the same stop in the forward search of maps that are not all onto
+    gens = [(1, 0, 2), (1, 2, 0), (0, 0, 2)]
+    assert reaches_every_pair(gens, 3) == oracle_semigroup_2transitive(gens, 3) == True
+
+
+def oracle_orbits(x):
+    """Inn(X)-orbits by union-find over every product i > j."""
+    parent = list(range(x.n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i in range(x.n):
+        for j in range(x.n):
+            parent[find(i)] = find(x.op(i, j))
+    groups = {}
+    for i in range(x.n):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def large_family_quandles():
+    """Relabeled dihedral, Alexander, conjugation, core and union quandles of
+    order up to 29."""
+    qs = [dihedral_quandle(n) for n in (16, 18, 21, 24, 25, 27, 29)]
+    qs += [alexander_quandle(n, t) for n, t in ((16, 3), (19, 2), (23, 2), (25, 2), (27, 2), (29, 2))]
+    qs += [conjugation_quandle(dihedral_group(k)) for k in (6, 9, 10, 12)]
+    qs += [conjugation_quandle(cayley_table([(1, 0, 2, 3), (1, 2, 3, 0)]))]  # S_4
+    qs += [core_quandle(dihedral_group(k)) for k in (5, 8, 12)]
+    qs += [core_quandle(cayley_table([(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)]))]  # Z_3 x Z_3
+    qs += [
+        disjoint_union(dihedral_quandle(11), alexander_quandle(13, 2)),
+        disjoint_union(conjugation_quandle(dihedral_group(5)), trivial_quandle(4)),
+        disjoint_union(dihedral_quandle(9), disjoint_union(dihedral_quandle(9), dihedral_quandle(9))),
+    ]
+    rng = random.Random(20231020)
+    return [relabel(q, rng) for q in qs]
+
+
+def test_orbits_match_union_find():
+    for q in small_quandles() + family_quandles() + large_family_quandles():
+        assert orbits(q) == oracle_orbits(q), q.table
+
+
+def test_summary_asks_the_direct_predicates():
+    large = large_family_quandles()
+    assert max(q.n for q in large) == 29
+    seen = set()
+    for q in small_quandles() + large:
+        s = quandle_summary(q)
+        assert s["right2t_global"] == is_right_2transitive(q), q.table
+        assert s["left2t_global"] == is_left_2transitive(q), q.table
+        assert s["right2t"] == is_right_orbit_2transitive(q), q.table
+        assert s["left2t"] == is_left_peak_2transitive(q), q.table
+        seen.add(tuple(s[key] for key in ("latin", "right2t", "right2t_global", "left2t", "left2t_global")))
+    # the cases a shortcut could get wrong: right2t on a disconnected table,
+    # left2t without left2t_global on non-latin rows, and both global
+    # predicates true
+    assert any(right and not right_global for _, right, right_global, _, _ in seen)
+    assert any(not latin and left and not left_global for latin, _, _, left, left_global in seen)
+    assert (True, True, True, True, True) in seen

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from quandlekit.errors import (
     NonUnitParameterError,
 )
 from quandlekit.quandles import (
+    MAX_WITNESSES,
     Quandle,
     alexander_quandle,
     conjugation_quandle,
@@ -29,6 +32,7 @@ from quandlekit.quandles import (
     trivial_quandle,
     validate_table,
 )
+from quandlekit.symmetry import enumerate_quandles
 
 
 def cyclic_cayley(n):
@@ -37,8 +41,6 @@ def cyclic_cayley(n):
 
 def s3_cayley():
     # permutations of 3 points, composition table
-    import itertools
-
     perms = list(itertools.permutations(range(3)))
     index = {p: i for i, p in enumerate(perms)}
     return [
@@ -191,3 +193,101 @@ def test_from_json_dict_checks_the_shape_once(monkeypatch):
 def test_disjoint_union_is_quandle(a, b):
     q = disjoint_union(dihedral_quandle(a), trivial_quandle(b))
     assert validate_table(q.n, q.table).ok
+
+
+def oracle_validate(n, table):
+    """(ok, violations) by the n^3 scan: every instance of every axiom
+    checked, the first MAX_WITNESSES witnesses of each in lexicographic
+    order."""
+    found = (
+        ("I", [(i,) for i in range(n) if table[i][i] != i]),
+        ("II", [(j,) for j in range(n) if len({table[i][j] for i in range(n)}) != n]),
+        (
+            "III",
+            [
+                (i, j, k)
+                for i in range(n)
+                for j in range(n)
+                for k in range(n)
+                if table[table[i][j]][k] != table[table[i][k]][table[j][k]]
+            ],
+        ),
+    )
+    violations = tuple((axiom, w) for axiom, witnesses in found for w in witnesses[:MAX_WITNESSES])
+    return not violations, violations
+
+
+def validation_cases():
+    """Each class of order <= 6 and some quandles above SCAN_MAX_N under a
+    seeded relabeling, each with ten pairs of mutants: two entries of one
+    column swapped, so that axiom II still holds, and one entry changed,
+    so that it fails."""
+    rng = random.Random(20231019)
+    bases = [q for n in range(1, 7) for q in enumerate_quandles(n)]
+    bases += [dihedral_quandle(n) for n in (9, 12, 15)]
+    bases += [alexander_quandle(n, t) for n, t in ((11, 2), (16, 3), (25, 2))]
+    bases += [
+        core_quandle(cyclic_cayley(10)),
+        disjoint_union(dihedral_quandle(5), dihedral_quandle(7)),
+        disjoint_union(conjugation_quandle(s3_cayley()), trivial_quandle(4)),
+    ]
+    for q in bases:
+        n = q.n
+        sigma = rng.sample(range(n), n)
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                table[sigma[i]][sigma[j]] = sigma[q.op(i, j)]
+        yield "class", table
+        for _ in range(10 if n > 1 else 0):
+            swapped = [row[:] for row in table]
+            j, (a, b) = rng.randrange(n), rng.sample(range(n), 2)
+            swapped[a][j], swapped[b][j] = swapped[b][j], swapped[a][j]
+            yield "swap", swapped
+            changed = [row[:] for row in table]
+            i, j = rng.randrange(n), rng.randrange(n)
+            changed[i][j] = (changed[i][j] + rng.randrange(1, n)) % n
+            yield "change", changed
+
+
+@pytest.mark.parametrize("scan_max_n", [quandles.SCAN_MAX_N, 0])
+def test_validation_matches_the_full_scan(monkeypatch, scan_max_n):
+    # with SCAN_MAX_N = 0 every table whose columns are onto is first
+    # checked at its generators
+    monkeypatch.setattr(quandles, "SCAN_MAX_N", scan_max_n)
+    tally = {}
+    for kind, table in validation_cases():
+        report = validate_table(len(table), table)
+        assert (report.ok, report.violations) == oracle_validate(len(table), table), table
+        axioms = tuple(sorted({axiom for axiom, _ in report.violations}))
+        tally[kind, axioms] = tally.get((kind, axioms), 0) + 1
+    assert tally["class", ()] == 107 + 9
+    # swaps that keep axioms I and II and break only III, and some that
+    # give a quandle again; every changed entry breaks axiom II
+    assert tally["swap", ("III",)] > 500 and tally["swap", ()] > 0
+    assert sum(count for (kind, axioms), count in tally.items() if kind == "change" and "II" not in axioms) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=n, max_size=n)))
+def test_validation_of_tables_with_bijective_columns(columns):
+    table = [list(row) for row in zip(*columns)]
+    want = oracle_validate(len(table), table)
+    for scan_max_n in (quandles.SCAN_MAX_N, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quandles, "SCAN_MAX_N", scan_max_n)
+            report = validate_table(len(table), table)
+        assert (report.ok, report.violations) == want
+
+
+@pytest.mark.parametrize("scan_max_n", [quandles.SCAN_MAX_N, 0])
+def test_validation_of_every_table_up_to_order_3(monkeypatch, scan_max_n):
+    # a column that is not onto voids the argument for generators: 199 of
+    # the 3 x 3 tables keep axiom III at their generators and break it
+    # elsewhere, so they must still get the scan
+    monkeypatch.setattr(quandles, "SCAN_MAX_N", scan_max_n)
+    for n in (1, 2, 3):
+        for flat in itertools.product(range(n), repeat=n * n):
+            table = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+            report = validate_table(n, table)
+            assert (report.ok, report.violations) == oracle_validate(n, table), table
