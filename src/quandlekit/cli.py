@@ -490,7 +490,7 @@ def cmd_iso(args):
         raise QuandleKitError("--budget bounds the ring isomorphism search: it needs --ring-domain and no --matrix")
     qx = load_quandle(args.x)
     qy = load_quandle(args.y)
-    sigma = quandles_isomorphic(qx, qy) if qx.n == qy.n else None
+    sigma = quandles_isomorphic(qx, qy)
     payload = {"quandle_iso": list(sigma) if sigma else None}
     lines = ["quandle isomorphism: %s" % (list(sigma) if sigma else "none")]
     if args.ring_domain:

@@ -89,71 +89,29 @@ def column_periodicity_holds(n):
     return True
 
 
-def _case1_families(n):
+def _families(n, case):
+    """The displayed product families of case 1 or 2, in display order, as
+    (label, instances); a family for both cases has case None."""
     half, quarter = n // 2, n // 4
-    fams = []
-    fams.append((
-        "e_{2i}*e_i = -e_{2i} - e_{n-2i}",
-        [(2 * i, i, [(2 * i, -1), (n - 2 * i, -1)]) for i in range(1, quarter + 1)],
-    ))
-    fams.append((
-        "e_{n-2i}*e_i = -2e_{2i} + e_{4i}",
-        [(n - 2 * i, i, [(2 * i, -2), (4 * i, 1)]) for i in range(1, quarter)],
-    ))
-    fams.append((
-        "e_{2i}*e_{n/2-i} = e_{n-4i} - 2e_{n-2i}",
-        [(2 * i, half - i, [(n - 4 * i, 1), (n - 2 * i, -2)]) for i in range(1, quarter)],
-    ))
-    fams.append((
-        "e_i*e_{n/4} = -e_{n-i} - e_{n/2} + e_{3n/2-i}  (upper i)",
-        [
-            (i, quarter, [(n - i, -1), (half, -1), (half + n - i, 1)])
-            for i in range(half + 1, n)
-        ],
-    ))
-    fams.append((
-        "e_i*e_{n/4} = e_{n/2-i} - e_{n/2} - e_{n-i}  (lower i)",
-        [(i, quarter, [(half - i, 1), (half, -1), (n - i, -1)]) for i in range(1, half)],
-    ))
-    fams.append((
-        "e_i*e_{n/2} = 0",
-        [(i, half, []) for i in range(1, n)],
-    ))
-    return fams
-
-
-def _case2_families(n):
-    half, quarter = n // 2, n // 4
-    fams = []
-    fams.append((
-        "e_{2i}*e_i = -e_{2i} - e_{n-2i}",
-        [(2 * i, i, [(2 * i, -1), (n - 2 * i, -1)]) for i in range(1, quarter + 1)],
-    ))
-    fams.append((
-        "e_{n-2i}*e_i = -2e_{2i} + e_{4i}",
-        [(n - 2 * i, i, [(2 * i, -2), (4 * i, 1)]) for i in range(1, quarter + 1)],
-    ))
-    fams.append((
-        "e_{2i}*e_{n/2-i} = e_{n-4i} - 2e_{n-2i}",
-        [(2 * i, half - i, [(n - 4 * i, 1), (n - 2 * i, -2)]) for i in range(1, quarter + 1)],
-    ))
-    fams.append((
-        "e_i*e_{n/2} = 0",
-        [(i, half, []) for i in range(1, n)],
-    ))
-    fams.append((
-        "e_1*e_1 = e_1 - e_2 - e_{n-1}",
-        [(1, 1, [(1, 1), (2, -1), (n - 1, -1)])],
-    ))
-    fams.append((
-        "e_{n-1}*e_1 = -e_1 - e_2 + e_3",
-        [(n - 1, 1, [(1, -1), (2, -1), (3, 1)])],
-    ))
-    fams.append((
-        "e_i*e_1 = -e_2 - e_{n-i} + e_{n-i+2}",
-        [(i, 1, [(2, -1), (n - i, -1), (n - i + 2, 1)]) for i in range(3, n - 2)],
-    ))
-    return fams
+    below = range(1, (n + 3) // 4)  # the i with 4i < n
+    fams = [
+        (None, "e_{2i}*e_i = -e_{2i} - e_{n-2i}",
+         [(2 * i, i, [(2 * i, -1), (n - 2 * i, -1)]) for i in range(1, quarter + 1)]),
+        (None, "e_{n-2i}*e_i = -2e_{2i} + e_{4i}",
+         [(n - 2 * i, i, [(2 * i, -2), (4 * i, 1)]) for i in below]),
+        (None, "e_{2i}*e_{n/2-i} = e_{n-4i} - 2e_{n-2i}",
+         [(2 * i, half - i, [(n - 4 * i, 1), (n - 2 * i, -2)]) for i in below]),
+        (1, "e_i*e_{n/4} = -e_{n-i} - e_{n/2} + e_{3n/2-i}  (upper i)",
+         [(i, quarter, [(n - i, -1), (half, -1), (half + n - i, 1)]) for i in range(half + 1, n)]),
+        (1, "e_i*e_{n/4} = e_{n/2-i} - e_{n/2} - e_{n-i}  (lower i)",
+         [(i, quarter, [(half - i, 1), (half, -1), (n - i, -1)]) for i in range(1, half)]),
+        (None, "e_i*e_{n/2} = 0", [(i, half, []) for i in range(1, n)]),
+        (2, "e_1*e_1 = e_1 - e_2 - e_{n-1}", [(1, 1, [(1, 1), (2, -1), (n - 1, -1)])]),
+        (2, "e_{n-1}*e_1 = -e_1 - e_2 + e_3", [(n - 1, 1, [(1, -1), (2, -1), (3, 1)])]),
+        (2, "e_i*e_1 = -e_2 - e_{n-i} + e_{n-i+2}",
+         [(i, 1, [(2, -1), (n - i, -1), (n - i + 2, 1)]) for i in range(3, n - 2)]),
+    ]
+    return [(label, instances) for only, label, instances in fams if only in (None, case)]
 
 
 @dataclass(frozen=True)
@@ -177,10 +135,9 @@ def verify_product_formulas(n):
     if n < 4 or n % 2 != 0:
         raise PreconditionError("the formula families require even n >= 4")
     case = 1 if n % 4 == 0 else 2
-    families = _case1_families(n) if case == 1 else _case2_families(n)
     checked = 0
     mismatches = []
-    for label, instances in families:
+    for label, instances in _families(n, case):
         for lhs_i, lhs_j, rhs_pairs in instances:
             checked += 1
             if e_product(n, lhs_i, lhs_j) != e_expr(n, rhs_pairs):

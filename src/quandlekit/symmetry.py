@@ -9,9 +9,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapacityError, NotInvariantError, PreconditionError, QuandleKitError
+from .errors import CapacityError, NotInvariantError, PreconditionError
 from .quandles import (
     Quandle,
+    generating_set,
     inner_moves,
     left_translation,
     orbits,
@@ -280,11 +281,12 @@ def _element_invariants(x):
 def quandles_isomorphic(x, y):
     """Return a relabeling sigma with sigma(i>j) = sigma(i)>sigma(j), or None.
 
-    The sorted per-element invariants, which fix the partition type and
-    the quandle polynomial, must agree before backtracking.
+    None for quandles of different orders, or whose sorted per-element
+    invariants (which fix the partition type and the quandle polynomial)
+    differ; otherwise the answer of `_find_isomorphism`.
     """
     if x.n != y.n:
-        raise QuandleKitError("size mismatch: %d vs %d" % (x.n, y.n))
+        return None
     inv_x, inv_y = _element_invariants(x), _element_invariants(y)
     if sorted(inv_x) != sorted(inv_y):
         return None
@@ -292,47 +294,55 @@ def quandles_isomorphic(x, y):
 
 
 def _find_isomorphism(x, y, inv_x, inv_y):
-    """Backtracking of `quandles_isomorphic` on invariants the caller holds."""
-    n = x.n
-    candidates = [[w for w in range(n) if inv_y[w] == inv_x[v]] for v in range(n)]
-    sigma = [None] * n
-    used = [False] * n
-    landing = [[] for _ in range(n)]  # landing[t]: the pairs (a, b) with a>b = t
-    for a in range(n):
-        for b in range(n):
-            landing[x.table[a][b]].append((a, b))
+    """An isomorphism sigma of x onto y, of equal order, or None; the
+    caller holds the invariants.  As sigma(a>b) = sigma(a)>sigma(b), the
+    images of `generating_set(x)` fix sigma.  Each generator in turn goes
+    to each free w of equal invariants, and then each product a>b of placed
+    elements must go to sigma(a)>sigma(b): an image held by another
+    element, of other invariants, or unequal to one already set ends the
+    branch.  With every generator placed, sigma is defined on all of X,
+    one-to-one, and a homomorphism.
+    """
+    n, gens = x.n, generating_set(x)
+    sigma, back = [None] * n, [None] * n  # back[w]: the element sigma maps to w
+    placed = []
 
-    def consistent(v):
-        """sigma keeps every product a>b = t with a, b and t placed and v
-        among them."""
-        for i in range(n):
-            if sigma[i] is None:
-                continue
-            for a, b in ((i, v), (v, i)):
-                t = x.table[a][b]
-                if sigma[t] is not None and y.table[sigma[a]][sigma[b]] != sigma[t]:
-                    return False
-        for a, b in landing[v]:
-            if sigma[a] is not None and sigma[b] is not None and y.table[sigma[a]][sigma[b]] != sigma[v]:
-                return False
+    def assign(v, w):
+        """Set sigma(v) = w; False on a conflict."""
+        if sigma[v] is not None:
+            return sigma[v] == w
+        if back[w] is not None or inv_x[v] != inv_y[w]:
+            return False
+        sigma[v], back[w] = w, v
+        placed.append(v)
         return True
 
-    def backtrack(v):
-        if v == n:
+    def close(i):
+        """Pair each placed element from the i-th on with every one before it."""
+        while i < len(placed):
+            a = placed[i]
+            for b in placed[:i]:
+                if not (assign(x.table[a][b], y.table[sigma[a]][sigma[b]])
+                        and assign(x.table[b][a], y.table[sigma[b]][sigma[a]])):
+                    return False
+            i += 1
+        return True
+
+    def search(k):
+        if k == len(gens):
             return True
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            sigma[v] = w
-            used[w] = True
-            if consistent(v) and backtrack(v + 1):
+        mark = len(placed)
+        for w in range(n):
+            if assign(gens[k], w) and close(mark) and search(k + 1):
                 return True
-            sigma[v] = None
-            used[w] = False
+            for v in placed[mark:]:
+                back[sigma[v]] = None
+                sigma[v] = None
+            del placed[mark:]
         return False
 
-    found = backtrack(0)
-    del backtrack  # it refers to itself: unlink it so the search state is freed now
+    found = search(0)
+    del search  # it refers to itself: unlink it so the search state is freed now
     return tuple(sigma) if found else None
 
 

@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_multiply_oracle import DOMAINS, SMALL_QUANDLES, coefficients, ring_and_oracle
-from test_pair_kernel import cayley_table, dihedral_group, oracle_pair_orbit_count, relabel
+from test_pair_kernel import cayley_table, dihedral_group, oracle_pair_orbit_count, shuffled
 
 from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.lattices import (
@@ -444,7 +444,7 @@ def test_irreducible_matches_exhaustive_spinup(data):
     """Norton's test against one spin-up per line, on the span of the
     e_v - e_o of an orbit of a relabeled quandle over F_p, p^dim <= 5 * 10^4;
     a witness must pass the test-side check."""
-    q = relabel(data.draw(st.sampled_from(IRREDUCIBLE_BASES)), random.Random(data.draw(st.integers(0, 2**32))))
+    q = shuffled(data.draw(st.sampled_from(IRREDUCIBLE_BASES)), random.Random(data.draw(st.integers(0, 2**32))))
     orb = data.draw(st.sampled_from([orb for orb in orbits(q) if len(orb) > 1]))
     p = data.draw(st.sampled_from([p for p in (2, 3, 5, 7) if p ** (len(orb) - 1) <= 5 * 10**4]))
     domain = GF(p)
@@ -515,7 +515,7 @@ def delta_cases(max_n):
     of order at most max_n."""
     base = [dihedral_quandle(n) for n in range(2, 33)] + filtration_bases()
     rng = random.Random(20190108)
-    cases = base + [relabel(q, rng) for q in base]
+    cases = base + [shuffled(q, rng) for q in base]
     return [q for q in cases if q.n <= max_n]
 
 

@@ -14,6 +14,7 @@ import random
 import time
 
 import pytest
+from conftest import relabel
 
 from quandlekit.quandles import Quandle, trivial_quandle, validate_table
 from quandlekit.symmetry import (
@@ -85,16 +86,6 @@ def oracle_canonical_form(x):
         if not worse and not comparing:
             best = tuple(flat)
     return tuple(tuple(best[a * n:(a + 1) * n]) for a in range(n))
-
-
-def relabel(q, sigma):
-    """q with each element v renamed sigma[v], through the checked constructor."""
-    n = q.n
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            table[sigma[i]][sigma[j]] = sigma[q.op(i, j)]
-    return Quandle.from_table(table)
 
 
 def oracle_enumerate(n):

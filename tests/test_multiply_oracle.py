@@ -7,11 +7,12 @@ table.  Over F_p it reduces mod p after every scalar operation, where
 ``multiply`` reduces once at the end.
 """
 
+from conftest import relabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit.domains import GF, QQ, ZZ
-from quandlekit.quandles import Quandle, alexander_quandle, dihedral_quandle
+from quandlekit.quandles import alexander_quandle, dihedral_quandle
 from quandlekit.rings import direct_sum, multiply, quandle_ring
 from quandlekit.symmetry import enumerate_quandles
 
@@ -60,14 +61,6 @@ def oracle_multiply(dom, constants, u, v):
             for k, s in constants[i][j].items():
                 acc[k] = r(acc[k] + r(c * s))
     return acc
-
-
-def relabel(q, sigma):
-    table = [[0] * q.n for _ in range(q.n)]
-    for i in range(q.n):
-        for j in range(q.n):
-            table[sigma[i]][sigma[j]] = sigma[q.op(i, j)]
-    return Quandle.from_table(table)
 
 
 @st.composite

@@ -24,12 +24,12 @@ import itertools
 import random
 import time
 
+from conftest import relabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit.cli import quandle_summary
 from quandlekit.quandles import (
-    Quandle,
     alexander_quandle,
     conjugation_quandle,
     core_quandle,
@@ -200,14 +200,11 @@ def oracle_left_peak_2transitive(x):
     return oracle_peak_2transitive(oracle_closure([left_translation(x, i) for i in range(x.n)]))
 
 
-def relabel(q, rng):
+def shuffled(q, rng):
+    """q under a relabeling drawn from rng."""
     sigma = list(range(q.n))
     rng.shuffle(sigma)
-    table = [[0] * q.n for _ in range(q.n)]
-    for i in range(q.n):
-        for j in range(q.n):
-            table[sigma[i]][sigma[j]] = sigma[q.op(i, j)]
-    return Quandle.from_table(table)
+    return relabel(q, sigma)
 
 
 def cayley_table(gens):
@@ -247,7 +244,7 @@ def family_quandles():
         disjoint_union(trivial_quandle(3), conjugation_quandle(dihedral_group(4))),
     ]
     rng = random.Random(20180515)
-    return [relabel(q, rng) for q in qs]
+    return [shuffled(q, rng) for q in qs]
 
 
 def small_quandles():
@@ -493,7 +490,7 @@ def large_family_quandles():
         disjoint_union(dihedral_quandle(9), disjoint_union(dihedral_quandle(9), dihedral_quandle(9))),
     ]
     rng = random.Random(20231020)
-    return [relabel(q, rng) for q in qs]
+    return [shuffled(q, rng) for q in qs]
 
 
 def test_orbits_match_union_find():

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from conftest import relabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -233,11 +234,7 @@ def validation_cases():
     ]
     for q in bases:
         n = q.n
-        sigma = rng.sample(range(n), n)
-        table = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                table[sigma[i]][sigma[j]] = sigma[q.op(i, j)]
+        table = [list(row) for row in relabel(q, rng.sample(range(n), n)).table]
         yield "class", table
         for _ in range(10 if n > 1 else 0):
             swapped = [row[:] for row in table]

@@ -11,6 +11,7 @@ import gc
 import itertools
 
 import pytest
+from conftest import relabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from quandlekit.counterexamples import PAIR4_MATRIX, PAIR4_Q_MATRIX, PAIR4_X, PA
 from quandlekit.domains import GF, QQ
 from quandlekit.errors import DomainMismatchError, PreconditionError
 from quandlekit.linalg import field_rank
-from quandlekit.quandles import Quandle, dihedral_quandle, trivial_quandle
+from quandlekit.quandles import dihedral_quandle, trivial_quandle
 from quandlekit.rings import (
     BasedRing,
     direct_sum,
@@ -64,14 +65,6 @@ def small_rings(p):
     point = quandle_ring(trivial_quandle(1), GF(p))
     rings.append(direct_sum(direct_sum(point, point), point))
     return rings
-
-
-def relabel(q, sigma):
-    table = [[0] * q.n for _ in range(q.n)]
-    for i in range(q.n):
-        for j in range(q.n):
-            table[sigma[i]][sigma[j]] = sigma[q.op(i, j)]
-    return Quandle.from_table(table)
 
 
 @pytest.mark.parametrize("p", [2, 3])
