@@ -221,7 +221,7 @@ def _summand_check(domain, moves, rows):
     from .meataxe import _irreducible  # loaded on first use, as in lattices
 
     sub = span(len(rows[0]), domain, rows)
-    invariant = _spin(domain, rows, moves)[0] == sub.basis
+    invariant = _spin(domain, rows, moves) == sub.basis
     return sub.rank, invariant, invariant and _irreducible(domain, moves, sub)[0]
 
 

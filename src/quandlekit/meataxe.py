@@ -251,7 +251,7 @@ def _norton(domain, moves, sub, pivots, fa, vectors):
         return [sum(c * row[i] for c, row in zip(coords, sub.basis)) % p for i in range(sub.ambient_dim)]
 
     for v in vectors:
-        basis, _ = _spin(domain, [ambient(v)], moves)
+        basis = _spin(domain, [ambient(v)], moves)
         if len(basis) < d:
             return False, basis
     # u M^T is the row of dot products of u with the rows of M

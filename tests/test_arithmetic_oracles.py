@@ -40,6 +40,8 @@ from test_pair_kernel import cayley_table, dihedral_group, oracle_pair_orbit_cou
 
 from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.lattices import (
+    _displacements,
+    _normalizes_cyclic,
     delta_powers,
     generated_left_ideal,
     generated_right_ideal,
@@ -49,6 +51,7 @@ from quandlekit.lattices import (
 from quandlekit.linalg import hermite_normal_form, lattice_contains, rref
 from quandlekit.meataxe import _irreducible
 from quandlekit.quandles import (
+    Quandle,
     alexander_quandle,
     conjugation_quandle,
     dihedral_quandle,
@@ -58,7 +61,7 @@ from quandlekit.quandles import (
     right_translation,
 )
 from quandlekit.rings import multiply, quandle_ring
-from quandlekit.symmetry import enumerate_quandles, restricted_action
+from quandlekit.symmetry import enumerate_quandles, quandles_isomorphic, restricted_action
 
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]
 
@@ -554,18 +557,94 @@ def oracle_delta_powers(x, domain, k_max, variant):
 VARIANTS = ("all-bracketings", "left-normed")
 
 
-@pytest.mark.parametrize("domain, max_n", [(ZZ, 32), (QQ, 9), (GF(3), 9)], ids=["Z", "Q", "F_3"])
+@pytest.mark.parametrize(
+    "domain, max_n", [(ZZ, 32), (QQ, 9), (GF(3), 9), (GF(2), 18)], ids=["Z", "Q", "F_3", "F_2"]
+)
 def test_delta_powers_match_product_oracle(domain, max_n):
     """The one Delta^k = Delta^(k-1) * Delta equals the sum over all
-    bracketings and the left-normed product alike; over Z also on the 107
-    quandles of order at most 6."""
+    bracketings and the left-normed product alike; over Z and F_2 also on
+    the 107 quandles of order at most 6."""
     cases = delta_cases(max_n)
-    if domain is ZZ:
+    if domain in (ZZ, GF(2)):
         cases += [q for n in range(1, 7) for q in enumerate_quandles(n)]
     for q in cases:
         got = tuple(p.basis for p in delta_powers(q, domain, 4))
         for variant in VARIANTS:
             assert got == oracle_delta_powers(q, domain, 4, variant)[0], (q.n, variant)
+
+
+def tetrahedral_quandle():
+    """Aff(F_4, w): x > y = w x + w^2 y, with a + b w in
+    F_4 = F_2[w]/(w^2 + w + 1) stored as a + 2b."""
+
+    def times(a, b):
+        out = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+        return out ^ 0b111 if out & 0b100 else out  # w^2 = w + 1
+
+    return Quandle.from_table([[times(2, x) ^ times(3, y) for y in range(4)] for x in range(4)])
+
+
+def test_tetrahedral_quandle_needs_the_closure():
+    """The tetrahedral quandle Aff(F_4, w) has one displacement d, an
+    involution, but Dis(X) is the Klein four-group, so <d> is not normal
+    and the (d - 1) b, b over the basis of Delta, span less than Delta^2.
+    Of the quandles of order at most 6 with one displacement it is the
+    only one where they do; where <d> is normal they never do."""
+    tetra = tetrahedral_quandle()
+    (d,) = _displacements(tetra)
+    assert d != tuple(range(4)) and tuple(d[i] for i in d) == tuple(range(4))
+    assert not _normalizes_cyclic(d, inner_moves(tetra))
+    for domain in (ZZ, GF(2), QQ):
+        got = tuple(p.basis for p in delta_powers(tetra, domain, 4))
+        assert got == oracle_delta_powers(tetra, domain, 4, "left-normed")[0]
+    for q in (q for n in range(1, 7) for q in enumerate_quandles(n)):
+        shifts = _displacements(q)
+        if len(shifts) == 1:
+            d = shifts[0]
+            delta1, delta2 = delta_powers(q, ZZ, 2)
+            alone = span(q.n, ZZ, [[b[d[j]] - b[j] for j in range(q.n)] for b in delta1.basis]) == delta2
+            assert alone == (quandles_isomorphic(q, tetra) is None), q.table
+            assert alone or not _normalizes_cyclic(d, inner_moves(q))
+
+
+def test_dihedral_filtration_needs_no_closure():
+    """R_n, n >= 3, has one displacement, and <d> = Dis(R_n) is normal."""
+    for n in range(3, 65):
+        x = dihedral_quandle(n)
+        (d,) = _displacements(x)
+        assert _normalizes_cyclic(d, inner_moves(x)), n
+
+
+def test_normalizes_cyclic_matches_the_powers_of_d():
+    """Against the powers of d, for one d of each cycle type in S_n,
+    n <= 6, and every m in S_n: m alone, and m after and before d, which
+    always normalizes <d>."""
+    for n in range(1, 7):
+        types = {}
+        for d in itertools.permutations(range(n)):
+            seen, lengths = set(), []
+            for v in range(n):
+                size = 0
+                while v not in seen:
+                    seen.add(v)
+                    v, size = d[v], size + 1
+                if size:
+                    lengths.append(size)
+            types.setdefault(tuple(sorted(lengths)), d)
+        for d in types.values():
+            powers, p = set(), tuple(range(n))
+            while p not in powers:
+                powers.add(p)
+                p = tuple(d[i] for i in p)
+            for m in itertools.permutations(range(n)):
+                c = [0] * n
+                for i in range(n):
+                    c[m[i]] = m[d[i]]
+                want = tuple(c) in powers
+                assert _normalizes_cyclic(d, [m]) == want, (d, m)
+                assert _normalizes_cyclic(d, [d, m]) == _normalizes_cyclic(d, [m, d]) == want, (d, m)
+    # m turns (0 1 2)(3 4 5) into d on the one cycle and d^2 on the other: no one power of d
+    assert not _normalizes_cyclic((1, 2, 0, 4, 5, 3), [(0, 1, 2, 3, 5, 4)])
 
 
 def test_hnf_matches_sweep_oracle_on_delta_power_inputs():
