@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .domains import GF, ZZ, _is_prime
 from .errors import PreconditionError, QuandleKitError
-from .lattices import _spin, delta_powers, quotient_shape, span
-from .linalg import rref
+from .lattices import _spin, delta_powers, delta_quotients, span
+from .linalg import hnf_solve, rref
 from .quandles import dihedral_quandle, inner_moves
 
 
@@ -146,11 +146,11 @@ def verify_product_formulas(n):
 
 
 def delta_series_shapes(n, k_max):
-    """quotient_shape(Delta^k, Delta^(k+1)) for k = 1..k_max over Z."""
+    """quotient_shape(Delta^k, Delta^(k+1)) for k = 1..k_max over Z; R_n is
+    principal, so `delta_quotients` stops at the first two of equal rank."""
     if n < 2 or k_max < 1:
         raise PreconditionError("need n >= 2 and k_max >= 1")
-    powers = delta_powers(dihedral_quandle(n), ZZ, k_max + 1)
-    return [quotient_shape(powers[k - 1], powers[k]) for k in range(1, k_max + 1)]
+    return delta_quotients(dihedral_quandle(n), k_max)[0]
 
 
 def star_relations_check(n):
@@ -158,12 +158,8 @@ def star_relations_check(n):
     if n < 4 or n % 2 != 0:
         raise PreconditionError("needs even n >= 4")
     delta2 = delta_powers(dihedral_quandle(n), ZZ, 2)[1]
-    for l in range(2, n):
-        expected = [(2, l // 2)] + ([(1, 1)] if l % 2 else [])
-        diff = e_expr(n, [(l, 1)] + [(i, -c) for i, c in expected])
-        if not delta2.contains(e_to_vector(diff)):
-            return False
-    return True
+    exprs = [e_expr(n, [(l, 1), (2, -(l // 2))] + ([(1, -1)] if l % 2 else [])) for l in range(2, n)]
+    return None not in hnf_solve(delta2.basis, map(e_to_vector, exprs))
 
 
 def odd_relations_check(n):
@@ -173,7 +169,7 @@ def odd_relations_check(n):
     delta2 = delta_powers(dihedral_quandle(n), ZZ, 2)[1]
     exprs = [e_expr(n, [(2 * i, 1), (n - 2 * i, 1)]) for i in range(1, (n - 1) // 2 + 1)]
     exprs += [e_expr(n, [(k, 1), (1, -k)]) for k in range(2, n)] + [e_expr(n, [(1, n)])]
-    return all(delta2.contains(e_to_vector(e)) for e in exprs)
+    return None not in hnf_solve(delta2.basis, map(e_to_vector, exprs))
 
 
 @dataclass(frozen=True)

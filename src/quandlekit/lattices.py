@@ -15,7 +15,8 @@ every call, with no cache.  Delta^1 is the augmentation basis itself, and
 each Delta^(k+1) is spun up from the (d - 1) b, d a displacement
 R_s0^-1 R_s of two generators and b a basis row of Delta^k, with no ring
 multiplication; when a single displacement generates a normal subgroup
-of Inn(X) these rows already span Delta^(k+1) and no move is applied.
+of Inn(X) these rows already span Delta^(k+1), no move is applied, and
+``delta_quotients`` stops at the first two powers of equal rank.
 
 Whether an orbit summand over F_p is simple is decided by Norton's
 irreducibility test, in `meataxe`, which a call imports on first use.
@@ -34,7 +35,7 @@ from .errors import (
 from .linalg import (
     echelon,
     hermite_normal_form,
-    hnf_coordinates,
+    hnf_solve,
     lattice_contains,
     rref,
     smith_normal_form,
@@ -115,10 +116,10 @@ def _spin(domain, seeds, moves):
     return tuple(form.rows())
 
 
-def _displacements(x):
+def _displacements(x, generators=None):
     """The distinct d_s = R_s0^-1 R_s other than the identity, for s_0, s in
-    `generating_set(x)`, each as the tuple of the d_s(j)."""
-    first, *rest = (right_translation(x, a) for a in generating_set(x))
+    `generating_set(x)` or the generators given, as tuples of the d_s(j)."""
+    first, *rest = (right_translation(x, a) for a in generators or generating_set(x))
     back = [0] * x.n
     for i, j in enumerate(first):
         back[j] = i
@@ -156,6 +157,23 @@ def _normalizes_cyclic(d, moves):
                 return False
             period = lcm(period, size)
     return True
+
+
+def _delta_chain(x, domain):
+    """(principal, Delta^k) for k = 1, 2, ..., each power spun up when it
+    is read; principal when there is at most one displacement d and <d> is
+    normal, and then the spin has no moves (`delta_powers`)."""
+    gens = generating_set(x)
+    shifts, moves = _displacements(x, gens), inner_moves(x, gens)
+    principal = len(shifts) < 2 and all(_normalizes_cyclic(d, moves) for d in shifts)
+    basis = augmentation_ideal(x, domain).basis
+    while True:
+        yield principal, Submodule(ambient_dim=x.n, domain=domain, basis=basis)
+        # last pivot first: a new pivot then mostly lies left of those placed,
+        # whose rows it leaves alone (R_3..R_32 to Delta^4: 4,479 row
+        # reductions in the HNF against 22,319 first pivot first)
+        seeds = ([b[d[j]] - b[j] for j in range(x.n)] for d in shifts for b in reversed(basis))
+        basis = _spin(domain, seeds, () if principal else moves)
 
 
 def delta_powers(x, domain, k_max):
@@ -201,17 +219,34 @@ def delta_powers(x, domain, k_max):
     """
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
-    n, shifts, moves = x.n, _displacements(x), inner_moves(x)
-    if len(shifts) == 1 and _normalizes_cyclic(shifts[0], moves):
-        moves = ()
-    powers = [augmentation_ideal(x, domain).basis]
-    for _ in range(1, k_max):
-        # last pivot first: a new pivot then mostly lies left of those placed,
-        # whose rows it leaves alone (R_3..R_32 to Delta^4: 4,479 row
-        # reductions in the HNF against 22,319 first pivot first)
-        seeds = ([b[d[j]] - b[j] for j in range(n)] for d in shifts for b in reversed(powers[-1]))
-        powers.append(_spin(domain, seeds, moves))
-    return [Submodule(ambient_dim=n, domain=domain, basis=basis) for basis in powers]
+    chain = _delta_chain(x, domain)
+    return [next(chain)[1] for _ in range(k_max)]
+
+
+def delta_quotients(x, k_max):
+    """(shapes, stable_from): the Z-shapes of Delta^k/Delta^(k+1), k = 1..k_max,
+    and the k_0 <= k_max from which they are proven constant, or None.
+
+    In the principal case Delta^(j+1) = t Delta^j for all j >= 1, t = d^-1 - 1
+    the map the seeds apply (`delta_powers`), or t = 0 with no displacement.
+    Let k = k_0 be the first with rank Delta^(k+1) = rank Delta^k = r: t
+    maps Delta^k onto Delta^(k+1), a surjection Z^r -> Z^r, whose kernel
+    has rank 0 and so is 0.  The isomorphism t carries Delta^(k+1) onto
+    Delta^(k+2), so Delta^k/Delta^(k+1) ~ Delta^(k+1)/Delta^(k+2) and the
+    ranks agree again: by induction every quotient from k_0 on is the one
+    at k_0, and no power past Delta^(k_0+1) is computed."""
+    if k_max < 1:
+        raise PreconditionError("k_max must be >= 1")
+    chain = _delta_chain(x, ZZ)
+    principal, upper = next(chain)
+    shapes = []
+    for k in range(1, k_max + 1):
+        lower = next(chain)[1]
+        shapes.append(quotient_shape(upper, lower))
+        if principal and lower.rank == upper.rank:
+            return shapes + shapes[-1:] * (k_max - k), k
+        upper = lower
+    return shapes, None
 
 
 @dataclass(frozen=True)
@@ -249,14 +284,9 @@ def quotient_shape(a, b):
         if not submodule_leq(b, a):
             raise ContainmentError("denominator is not contained in numerator")
         return AbelianGroupShape(free_rank=a.rank - b.rank, torsion=())
-    relations = []
-    for v in b.basis:
-        coords = hnf_coordinates(a.basis, v)
-        if coords is None:
-            raise ContainmentError("denominator is not contained in numerator")
-        relations.append(coords)
-    if not relations:
-        return AbelianGroupShape(free_rank=a.rank, torsion=())
+    relations = hnf_solve(a.basis, b.basis)
+    if None in relations:
+        raise ContainmentError("denominator is not contained in numerator")
     factors = smith_normal_form(relations)
     free_rank = a.rank - len(factors)
     torsion = tuple(d for d in factors if d > 1)

@@ -6,9 +6,10 @@ Both reduced forms are built one row at a time by an echelon form whose
 ``insert`` reports whether the span grew.  The integer HNF stays reduced
 after every change, each row's entries at the later pivots in [0, pivot),
 which keeps intermediate entries from swelling.  Its pivot columns are kept
-in one ascending list, so each reduction walks only the pivots it needs and
-``hnf_coordinates`` walks right from one pivot to the next.  The Smith form
-splits off each +-1 entry as a factor 1 before its HNF turns.
+in one ascending list, so each reduction walks only the pivots it needs;
+``hnf_solve`` finds the pivots of a basis once and walks each vector right
+from one pivot to the next.  The Smith form splits off each +-1 entry as a
+factor 1 before its HNF turns.
 """
 
 from bisect import bisect_left, bisect_right, insort
@@ -133,11 +134,12 @@ def hermite_normal_form(rows):
     return IntegerEchelon().extend(rows)
 
 
-def hnf_coordinates(hnf_rows, v):
-    """Express v as an integer combination of HNF basis rows, or None."""
-    v, coords, p = list(v), [], -1
-    n = len(v)
-    for row in hnf_rows:
+def hnf_solve(hnf_rows, vectors):
+    """Each vector as an integer combination of HNF basis rows, or None;
+    the pivots are found once for all the vectors."""
+    rows, pivots, p, out = list(hnf_rows), [], -1, []
+    n = len(rows[0]) if rows else None
+    for row in rows:
         if len(row) != n:
             raise DimensionMismatchError("vector length does not match the rows")
         start = p = p + 1
@@ -145,13 +147,25 @@ def hnf_coordinates(hnf_rows, v):
             p += 1
         if p == n or any(islice(row, start)):
             raise PreconditionError("rows are not in echelon order")
-        q, r = divmod(v[p], row[p])
-        if r:
-            return None
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-        coords.append(q)
-    return None if any(v) else coords
+        pivots.append(p)
+    for v in vectors:
+        v, coords, r = list(v), [], 0
+        if rows and len(v) != n:
+            raise DimensionMismatchError("vector length does not match the rows")
+        for row, p in zip(rows, pivots):
+            q, r = divmod(v[p], row[p])
+            if r:
+                break
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+            coords.append(q)
+        out.append(None if r or any(v) else coords)
+    return out
+
+
+def hnf_coordinates(hnf_rows, v):
+    """Express v as an integer combination of HNF basis rows, or None."""
+    return hnf_solve(hnf_rows, [v])[0]
 
 
 def lattice_contains(hnf_rows, v):

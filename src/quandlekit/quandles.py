@@ -263,11 +263,11 @@ def generating_set(x):
     return tuple(gens)
 
 
-def inner_moves(x):
-    """The distinct non-identity columns R_a, a in `generating_set(x)`:
-    they generate Inn(X), so closure or transitivity under these moves is
-    closure or transitivity under every R_j."""
-    columns = (tuple(row[a] for row in x.table) for a in generating_set(x))
+def inner_moves(x, generators=None):
+    """The distinct non-identity columns R_a, a in `generating_set(x)` (the
+    generators when given): they generate Inn(X), so closure or
+    transitivity under these moves is closure or transitivity under every R_j."""
+    columns = (tuple(row[a] for row in x.table) for a in generators or generating_set(x))
     return [m for m in dict.fromkeys(columns) if m != tuple(range(x.n))]
 
 
