@@ -667,7 +667,8 @@ def build_parser():
         type=int,
         default=None,
         help="cap on the candidate vectors scanned plus the search nodes visited by the ring "
-        "isomorphism search; exit 5 beyond it (default %d)" % DEFAULT_ISO_BUDGET,
+        "isomorphism search, the scan charging p^(n-1) between quandle rings and p^n - 1 otherwise; "
+        "exit 5 beyond it (default %d)" % DEFAULT_ISO_BUDGET,
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_iso)

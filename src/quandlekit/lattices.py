@@ -71,8 +71,15 @@ def span(ambient_dim, domain, rows):
 
 
 def submodule_leq(a, b):
-    """a contained in b."""
-    return all(b.contains(v) for v in a.basis)
+    """a contained in b: over Z one solve of a's rows in b's HNF, over a
+    field one echelon of b that a's rows go into until one grows it."""
+    if a.basis and a.ambient_dim != b.ambient_dim:
+        raise DomainMismatchError("vector length does not match ambient dimension")
+    if b.domain is ZZ:
+        return None not in hnf_solve(b.basis, a.basis)
+    form = echelon(b.domain)
+    form.extend(b.basis)
+    return not any(form.insert(v) for v in a.basis)
 
 
 def augmentation_ideal(x, domain):

@@ -39,7 +39,11 @@ def _check_shape(n, table):
         raise MalformedTableError("bad-structure", "table size must be >= 1, got %d" % n)
     if len(table) != n:
         raise MalformedTableError("ragged-rows", "expected %d rows, got %d" % (n, len(table)))
+    indices = frozenset(range(n))
     for i, row in enumerate(table):
+        # a well-formed row passes on row-level builtins; only a bad one is walked entry by entry
+        if type(row) in (list, tuple) and len(row) == n and set(map(type, row)) == {int} and indices.issuperset(row):
+            continue
         if not isinstance(row, (list, tuple)):
             raise MalformedTableError("bad-structure", "row %d is not a list" % i)
         if len(row) != n:

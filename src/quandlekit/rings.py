@@ -166,17 +166,30 @@ def power_assoc_witness(x, domain):
     p < 5) in each variable, so by Alon's Combinatorial Nullstellensatz
     (1999, Lemma 2.1) it is nonzero somewhere on S^k for S = {-2, ..., 2},
     or F_p when p < 5.  Reaching the end of that grid is an internal error.
+
+    Every point tried is an integer one, and c(u), f(u) of an integer u are
+    the same over Z and Q, so over Q the search runs in Z and only the
+    witness it returns is read into Q.
     """
-    ring = quandle_ring(x, domain)
     p = domain.char
-    box = [domain.coerce(c) for c in DEFAULT_WITNESS_BOX]
+    arith = domain if p else ZZ
+    ring = quandle_ring(x, arith)
+
+    def witness(u):
+        found = _violation(ring, u)
+        if found and arith is not domain:
+            element, lhs, rhs = (tuple(map(domain.coerce, w)) for w in (found.element, found.lhs, found.rhs))
+            found = PowerAssocWitness(element, found.identity, lhs, rhs)
+        return found
+
+    box = [arith.coerce(c) for c in DEFAULT_WITNESS_BOX]
     for i, j in itertools.combinations(range(x.n), 2):  # (j, i) tries the same points
         pair = _albert_polynomials(x.table, (i, j), p)
         if any(pair):
             for a, b in itertools.product(box, repeat=2):
-                u = [domain.zero] * x.n
+                u = [arith.zero] * x.n
                 u[i], u[j] = a, b
-                found = _violation(ring, u)
+                found = witness(u)
                 if found:
                     return found
     polys = _albert_polynomials(x.table, range(x.n), p)
@@ -184,23 +197,30 @@ def power_assoc_witness(x, domain):
         return None
     monomial, _ = next(iter(next(poly for poly in polys if poly)))
     support = sorted(set(monomial))
-    grid = [domain.coerce(c) for c in (range(p) if 0 < p < 5 else (-2, -1, 0, 1, 2))]
+    grid = [arith.coerce(c) for c in (range(p) if 0 < p < 5 else (-2, -1, 0, 1, 2))]
     for point in itertools.product(grid, repeat=len(support)):
-        u = [domain.zero] * x.n
+        u = [arith.zero] * x.n
         for v, a in zip(support, point):
             u[v] = a
-        found = _violation(ring, u)
+        found = witness(u)
         if found:
             return found
     raise RuntimeError("no Albert identity violation on the Nullstellensatz grid of a nonzero polynomial")
 
 
 def right_annihilator_count(x, p):
-    """|{v in F_p^n : u*v = 0 for all u}|, the size of the kernel of the
-    stacked left-multiplication matrices of the basis elements e_i."""
-    ring = quandle_ring(x, GF(p))
-    rows = [row for i in range(x.n) for row in _multiplication_matrix(ring, ring.basis_vector(i), "left", p)]
-    return p ** (x.n - field_rank(rows, ring.domain))
+    """|{v in F_p^n : u*v = 0 for all u}|.  Coordinate k of e_i * v is the
+    sum of v_j over the fibre L_i^-1(k) = {j : i > j = k}, so v is such a
+    v exactly when it is orthogonal to the 0/1 indicator rows of every
+    fibre of every left translation: the rows of the stacked
+    left-multiplication matrices, less their duplicates and zero rows."""
+    fibres = set()
+    for row in x.table:
+        indicators = {}  # k -> the indicator row of L_i^-1(k)
+        for j, k in enumerate(row):
+            indicators.setdefault(k, [0] * x.n)[j] = 1
+        fibres.update(map(tuple, indicators.values()))
+    return p ** (x.n - field_rank(fibres, GF(p)))
 
 
 def is_ring_homomorphism(r1, r2, matrix):
@@ -271,7 +291,8 @@ def find_ring_isomorphism(r1, r2, budget=DEFAULT_ISO_BUDGET):
     basis elements: column i starts from the nonzero v of r2 with
     v * v = c_i * v (for a quandle ring, the nonzero idempotents of r2)
     whose multiplication maps have the ranks and traces (of the map and of
-    its square) of those of e_i, found by one scan of F_p^n.  Each step places the column with the
+    its square) of those of e_i, found by one scan of F_p^n, or of its
+    slice eps(v) = 1 between quandle rings (below).  Each step places the column with the
     fewest candidates left and skips a candidate in the span of the placed
     columns.  Then, for each pair (a, b) that involves one unplaced column
     k besides placed ones (a, b and the support of e_a * e_b),
@@ -286,11 +307,15 @@ def find_ring_isomorphism(r1, r2, budget=DEFAULT_ISO_BUDGET):
     psi(e_i), so psi(e_i) is 0 or 1, k having no other idempotents; if
     psi(e_j) = 0, then psi(e_(i > j)) = psi(e_i) * psi(e_j) = 0 for every
     i, and R_j is onto, so psi = 0.  So eps is the only nonzero one, and
-    eps_Y o phi, nonzero as phi is onto, is eps_X.  The search does not use
-    this; it needs R_j onto, which direct sums with zero products lack.
+    eps_Y o phi, nonzero as phi is onto, is eps_X.  The proof needs only
+    that neither table has a zero product (so eps is multiplicative on
+    both), that e_i * e_i = e_i in r1 and that every column of r1 is onto;
+    when the tables have that, the scan takes only the p^(n-1) vectors
+    with v_(n-1) = 1 - (v_0 + ... + v_(n-2)), in the order of the full
+    scan.  Direct sums with zero products keep the scan of F_p^n.
 
-    budget caps the candidate vectors scanned (F_p^n once, then each
-    narrowing) plus the search nodes visited; CapacityError beyond it.
+    budget caps the candidate vectors scanned (p^(n-1) or p^n - 1, then
+    each narrowing) plus the search nodes visited; CapacityError beyond it.
     """
     if r1.domain is not r2.domain:
         raise DomainMismatchError("rings must share a domain")
@@ -316,8 +341,15 @@ def find_ring_isomorphism(r1, r2, budget=DEFAULT_ISO_BUDGET):
     keys = [(int(r1.table[i][i] == i), _multiplication_invariants(r1, r1.basis_vector(i), p))
             for i in range(n)]
     pools = {key: [] for key in keys}
-    charge(p**n - 1)
-    for v in itertools.islice(itertools.product(range(p), repeat=n), 1, None):
+    if n and all(min(row) >= 0 for row in r1.table + r2.table) and all(
+        r1.table[i][i] == i and len(set(column)) == n for i, column in enumerate(zip(*r1.table))
+    ):
+        charge(p ** (n - 1))
+        scan = (head + ((1 - sum(head)) % p,) for head in itertools.product(range(p), repeat=n - 1))
+    else:
+        charge(p**n - 1)
+        scan = itertools.islice(itertools.product(range(p), repeat=n), 1, None)
+    for v in scan:
         square = multiply(r2, v, v)
         c = next((c for c, _ in pools if square == [c * x % p for x in v]), None)
         key = (c, _multiplication_invariants(r2, v, p)) if c is not None else None

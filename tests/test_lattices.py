@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from test_pair_kernel import oracle_pair_orbit_count
 
 from quandlekit.domains import GF, QQ, ZZ
-from quandlekit.errors import ContainmentError, NonSplitError, PreconditionError
+from quandlekit.errors import ContainmentError, DomainMismatchError, NonSplitError, PreconditionError
 from quandlekit.lattices import (
     AbelianGroupShape,
     augmentation_ideal,
@@ -66,6 +66,38 @@ def test_delta_square_r3_contains_known_product():
     assert prod == [1, 1, -2]  # a_0 + a_1 - 2 a_2
     assert d2.contains(prod)
     assert submodule_leq(d2, delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_submodule_leq_agrees_with_the_per_row_check(data):
+    """One pass of `submodule_leq` against `Submodule.contains` row by
+    row, both ways round: b and a submodule a built from combinations of
+    b's rows, plus at most two arbitrary rows that may take it out of b."""
+    domain = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3)]))
+    n = data.draw(st.integers(1, 5))
+    vector = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    b_rows = data.draw(st.lists(vector, max_size=4))
+    weights = st.lists(st.integers(-3, 3), min_size=len(b_rows), max_size=len(b_rows))
+    a_rows = [[sum(w * row[k] for w, row in zip(ws, b_rows)) for k in range(n)]
+              for ws in data.draw(st.lists(weights, max_size=3))]
+    a_rows += data.draw(st.lists(vector, max_size=2))
+    a, b = span(n, domain, a_rows), span(n, domain, b_rows)
+    for lower, upper in ((a, b), (b, a)):
+        assert submodule_leq(lower, upper) == all(upper.contains(v) for v in lower.basis)
+
+
+def test_submodule_leq_sees_index_and_missing_rows():
+    lattice = span(3, ZZ, [[1, 0, 0], [0, 1, 0]])
+    doubled = span(3, ZZ, [[2, 0, 0], [0, 2, 0]])
+    assert submodule_leq(doubled, lattice) and not submodule_leq(lattice, doubled)
+    for domain in (QQ, GF(2), GF(3)):
+        plane, line = span(3, domain, [[1, 1, 0], [0, 1, 1]]), span(3, domain, [[1, 2, 1]])
+        assert submodule_leq(line, plane) and not submodule_leq(plane, line)
+        assert not submodule_leq(span(3, domain, [[1, 2, 1], [0, 0, 1]]), plane)
+        assert submodule_leq(span(3, domain, []), line)
+    with pytest.raises(DomainMismatchError):
+        submodule_leq(span(2, ZZ, [[1, 0]]), lattice)
 
 
 def test_delta_powers_descending_r5():

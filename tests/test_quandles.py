@@ -115,6 +115,37 @@ def test_malformed_shapes():
     assert exc.value.code == "entry-out-of-range"
 
 
+@pytest.mark.parametrize(
+    "table, code, message",
+    [
+        ([[0, True, 2], [0, 1, 2], [0, 1, 2]], "entry-out-of-range", "entry (0,1)=True not an index in [0,3)"),
+        ([[0, 1, 2], [0, 1.0, 2], [0, 1, 2]], "entry-out-of-range", "entry (1,1)=1.0 not an index in [0,3)"),
+        ([[0, 1, 2], [0, 1, 2], [-1, 1, 2]], "entry-out-of-range", "entry (2,0)=-1 not an index in [0,3)"),
+        ([[0, 1, 2], [0, 1, 3], [0, 1, 2]], "entry-out-of-range", "entry (1,2)=3 not an index in [0,3)"),
+        ([[0, 1, 2], [0, 1], [0, 1, 2, 0]], "ragged-rows", "row 1 has length 2, expected 3"),
+        ([[0, 1, 2], "012", [0, 1, 2]], "bad-structure", "row 1 is not a list"),
+        ([[0, 1, 2], {0: 0, 1: 1, 2: 2}, [0, 1, 2]], "bad-structure", "row 1 is not a list"),
+        # the first bad entry in row-major order is named, whatever else follows
+        ([[0, 1, 2], [0, 9, -1], [True, 1, 2]], "entry-out-of-range", "entry (1,1)=9 not an index in [0,3)"),
+        ([[0, -1, 2.5], [0, 1, 2], [0, 1, 2]], "entry-out-of-range", "entry (0,1)=-1 not an index in [0,3)"),
+        ([[0, 1, 2], [0, 1, 2], [0, 1]], "ragged-rows", "row 2 has length 2, expected 3"),
+    ],
+)
+def test_malformed_entries_name_the_first_bad_one(table, code, message):
+    with pytest.raises(MalformedTableError) as exc:
+        validate_table(3, table)
+    assert (exc.value.code, str(exc.value)) == (code, message)
+
+
+def test_well_formed_rows_of_any_sequence_type_pass_the_shape_check():
+    # tuples take the row-level path; an int subclass other than bool is walked and accepted
+    class Index(int):
+        pass
+
+    for table in ([(0, 0), (1, 1)], ((0, 0), (1, 1)), [[Index(0), 0], [1, Index(1)]]):
+        assert validate_table(2, table).ok
+
+
 def test_conjugation_quandle_of_s3():
     q = conjugation_quandle(s3_cayley())
     assert validate_table(q.n, q.table).ok

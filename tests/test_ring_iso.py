@@ -9,9 +9,10 @@ dimension <= 3.
 
 import gc
 import itertools
+import time
 
 import pytest
-from conftest import relabel
+from conftest import ACCEPTANCE_LINES, relabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from quandlekit.counterexamples import PAIR4_MATRIX, PAIR4_Q_MATRIX, PAIR4_X, PA
 from quandlekit.domains import GF, QQ
 from quandlekit.errors import DomainMismatchError, PreconditionError
 from quandlekit.linalg import field_rank
-from quandlekit.quandles import dihedral_quandle, trivial_quandle
+from quandlekit.quandles import alexander_quandle, dihedral_quandle, trivial_quandle
 from quandlekit.rings import (
     BasedRing,
     direct_sum,
@@ -168,3 +169,16 @@ def test_search_needs_one_prime_field():
         find_ring_isomorphism(quandle_ring(PAIR4_X, GF(2)), quandle_ring(PAIR4_Y, GF(3)))
     with pytest.raises(PreconditionError):
         find_ring_isomorphism(quandle_ring(PAIR4_X, QQ), quandle_ring(PAIR4_Y, QQ))
+
+
+def test_order7_searches_over_f5_reported():
+    """Non-gating: the verdict and seconds of the search over F_5 on the
+    paper's order-7 pair (isomorphic) and on Aff(Z_7, 3) against
+    Aff(Z_7, 5) (not), each scanning the 5^6 vectors of eps(v) = 1."""
+    parts = []
+    cases = (("order-7 pair", PAIR7_X, PAIR7_Y), ("Aff(Z_7,3)|Aff(Z_7,5)", alexander_quandle(7, 3), alexander_quandle(7, 5)))
+    for name, x, y in cases:
+        start = time.monotonic()
+        found = find_ring_isomorphism(quandle_ring(x, GF(5)), quandle_ring(y, GF(5)))
+        parts.append("%s %s %.2fs" % (name, "isomorphic" if found is not None else "none", time.monotonic() - start))
+    ACCEPTANCE_LINES.append("ring iso over F_5 REPORT (non-gating): %s" % "; ".join(parts))
