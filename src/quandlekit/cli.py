@@ -197,11 +197,14 @@ def _read_json(path):
 
 @contextmanager
 def _naming(path):
-    """Put path in front of a MalformedTableError raised inside the block."""
+    """Put path in front of a MalformedTableError or AxiomViolationError
+    raised inside the block."""
     try:
         yield
     except MalformedTableError as exc:
         raise MalformedTableError(exc.code, "%s: %s" % (path, exc)) from exc
+    except AxiomViolationError as exc:
+        raise AxiomViolationError("%s: %s" % (path, exc), exc.violations) from exc
 
 
 def _from_cayley(path, construct):

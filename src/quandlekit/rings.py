@@ -223,6 +223,12 @@ def right_annihilator_count(x, p):
     return p ** (x.n - field_rank(fibres, GF(p)))
 
 
+def _respects_products(ring, products, cols):
+    """Whether phi(e_a) * phi(e_b) = phi(e_c) in ring for each (a, b, c)
+    in products, where phi(e_i) = cols[i], a list, and cols[-1] = phi(0) = 0."""
+    return all(multiply(ring, cols[a], cols[b]) == cols[c] for a, b, c in products)
+
+
 def is_ring_homomorphism(r1, r2, matrix):
     """Multiplicativity of the linear map phi(e_j) = column j of the matrix,
     checked on all basis pairs: phi(e_i) * phi(e_j) = phi(e_i * e_j)."""
@@ -232,11 +238,8 @@ def is_ring_homomorphism(r1, r2, matrix):
     dom = r2.domain
     cols = [[dom.coerce(row[j]) for row in matrix] for j in range(n)]
     cols.append([dom.zero] * n)  # phi(0), at index -1
-    for i, row in enumerate(r1.table):
-        for j, k in enumerate(row):
-            if multiply(r2, cols[i], cols[j]) != cols[k]:
-                return False
-    return True
+    products = [(i, j, k) for i, row in enumerate(r1.table) for j, k in enumerate(row)]
+    return _respects_products(r2, products, cols)
 
 
 def is_ring_isomorphism(r1, r2, matrix):
@@ -292,14 +295,15 @@ def find_ring_isomorphism(r1, r2, budget=DEFAULT_ISO_BUDGET):
     v * v = c_i * v (for a quandle ring, the nonzero idempotents of r2)
     whose multiplication maps have the ranks and traces (of the map and of
     its square) of those of e_i, found by one scan of F_p^n, or of its
-    slice eps(v) = 1 between quandle rings (below).  Each step places the column with the
-    fewest candidates left and skips a candidate in the span of the placed
-    columns.  Then, for each pair (a, b) that involves one unplaced column
-    k besides placed ones (a, b and the support of e_a * e_b),
-    phi(e_a) * phi(e_b) = phi(e_a * e_b) is a linear equation in phi(e_k),
-    and the candidates of column k narrow to its solutions.  For a quandle
-    ring, placing e_a and e_b leaves one candidate for e_(a > b).  The
-    matrix returned is confirmed by is_ring_isomorphism.
+    slice eps(v) = 1 between quandle rings (below).  Each step places the
+    column with the fewest candidates left and skips a candidate in the
+    span of the placed columns.  Then, for each pair (a, b) that involves
+    one unplaced column k besides placed ones (a, b and the support of
+    e_a * e_b), column k keeps the candidates w with phi(e_a) * phi(e_b) =
+    phi(e_a * e_b) when w is put in for phi(e_k), the check
+    is_ring_homomorphism makes.  For a quandle ring, placing e_a and e_b
+    leaves one candidate for e_(a > b).  The matrix returned is confirmed
+    by is_ring_isomorphism.
 
     Between quandle rings every column sums to 1: every isomorphism
     phi: k[X] -> k[Y] preserves the augmentation eps.  A k-linear ring map
@@ -354,41 +358,30 @@ def find_ring_isomorphism(r1, r2, budget=DEFAULT_ISO_BUDGET):
         c = next((c for c, _ in pools if square == [c * x % p for x in v]), None)
         key = (c, _multiplication_invariants(r2, v, p)) if c is not None else None
         if key in pools:
-            pools[key].append(v)
+            pools[key].append(list(v))
 
-    cols = [None] * n
-    zero = [0] * n
+    cols = [None] * n + [[0] * n]  # phi(e_0) .. phi(e_(n-1)), then phi(0)
 
     def narrowed(k, d, j):
-        """The candidates in d for column k that solve the linear equations
-        on phi(e_k) from the pairs whose last unplaced column besides k
-        was j."""
-        eqs = []
-        for a, b, c, used in pairs:
-            if j not in used or k not in used or any(cols[x] is None for x in used if x != k):
-                continue
-            if a == k:
-                m, lhs = _multiplication_matrix(r2, cols[b], "right", p), zero
-            elif b == k:
-                m, lhs = _multiplication_matrix(r2, cols[a], "left", p), zero
-            else:
-                m, lhs = [zero] * n, multiply(r2, cols[a], cols[b])
-            rhs = zero if c in (-1, k) else cols[c]
-            for r in range(n):
-                row = [(m[r][s] - (c == k) * (r == s)) % p for s in range(n)]
-                value = (rhs[r] - lhs[r]) % p
-                if any(row) or value:
-                    eqs.append((row, value))
-        if not eqs:
+        """The candidates w in d for column k with which the pairs whose
+        last unplaced column besides k was j respect products, w put in
+        for phi(e_k)."""
+        checks = [(a, b, c) for a, b, c, used in pairs
+                  if j in used and k in used and all(cols[x] is not None for x in used if x != k)]
+        if not checks:
             return d
         charge(len(d))
-        return [w for w in d if all(sum(x * y for x, y in zip(row, w)) % p == value for row, value in eqs)]
+        for a, b, c in checks:
+            if k not in (a, b):  # then c = k: phi(e_k) is a product of placed columns
+                product = multiply(r2, cols[a], cols[b])
+                d = [w for w in d if w == product]
+        return [w for w in d if _respects_products(r2, checks, cols[:k] + [w] + cols[k + 1:])]
 
     def search(domains):
         if not domains:
             return [[cols[j][r] for j in range(n)] for r in range(n)]
         j = min(domains, key=lambda k: (len(domains[k]), k))
-        placed = [c for c in cols if c is not None]
+        placed = [c for c in cols[:n] if c is not None]
         for v in domains[j]:
             charge(1)
             if field_rank(placed + [v], dom) <= len(placed):

@@ -533,17 +533,18 @@ def _enumerate(n):
     `_cycle_type_reps(n)`.
 
     1. Column 0 ranges over `_cycle_type_reps(n)`.  With column 0 of
-       rank r, no column of rank below r is placed or accepted when
-       forced.  No class is lost: relabel an element v of least rank to 0
-       and conjugate R_v into its representative; every column of that
-       table has rank r or more, so the search reaches it.
+       rank r, no column of rank below r is placed.  No class is lost:
+       relabel an element v of least rank to 0 and conjugate R_v into its
+       representative; every column of that table has rank r or more, so
+       the search reaches it.
     2. Axiom III says R_{R_b(a)} = R_b R_a R_b^-1, that is
        R_{R_b(a)}[R_b[y]] = R_b[R_a[y]] for every y.  Placed columns wait
        on a stack.  A popped column a is checked against every column b
        popped before it, in both directions, so each pair is checked
        once.  A target column already set is compared point by point, up
-       to the first mismatch.  An empty target is filled and pushed,
-       unless its rank is below r, which ends the branch.  A branch places
+       to the first mismatch.  An empty target is filled and pushed.  It
+       is R_b R_a R_b^-1 or R_a R_b R_a^-1, a conjugate of a placed
+       column, so its rank is that column's, r or more.  A branch places
        the lowest empty column, propagates until the stack is empty, and
        undoes its columns when it backtracks.  Every pair of placed
        columns has then been checked, so a complete table is a quandle.
@@ -562,7 +563,7 @@ def _enumerate(n):
     popped = []
     buckets = {}
 
-    def place(j, col, filled, least):
+    def place(j, col, filled):
         """Set column j and every column it forces; False on a contradiction."""
         cols[j] = col
         filled.append(j)
@@ -578,10 +579,7 @@ def _enumerate(n):
                         forced = [0] * n
                         for y in range(n):
                             forced[f[y]] = f[g[y]]
-                        forced = tuple(forced)
-                        if rank[forced] < least:
-                            return False
-                        cols[t] = forced
+                        cols[t] = tuple(forced)
                         filled.append(t)
                         stack.append(t)
                     else:
@@ -598,23 +596,23 @@ def _enumerate(n):
         if all(_find_isomorphism(q, r, inv, inv_r) is None for r, inv_r in reps):
             reps.append((q, inv))
 
-    def search(c, col, least, candidates):
+    def search(c, col, candidates):
         """Place col as column c, search below it, and undo."""
         filled, mark = [], len(popped)
-        if place(c, col, filled, least):
+        if place(c, col, filled):
             if None not in cols:
                 keep()
             else:
                 nxt = cols.index(None)
                 for cand in candidates[nxt]:
-                    search(nxt, cand, least, candidates)
+                    search(nxt, cand, candidates)
         for j in filled:
             cols[j] = None
         del popped[mark:]
 
     for least, rep in enumerate(type_reps):
         candidates = [None] + [[col for col in js if rank[col] >= least] for js in perms]
-        search(0, rep, least, candidates)
+        search(0, rep, candidates)
     del search  # it refers to itself: unlink it so the search state is freed now
     found = sorted(canonical_form(q) for reps in buckets.values() for q, _ in reps)
     return tuple(Quandle(n, tbl) for tbl in found)

@@ -1,5 +1,6 @@
 import builtins
 import gc
+import io
 import itertools
 import json
 import math
@@ -11,7 +12,7 @@ from quandlekit import cli
 from quandlekit.cli import EXPECTED, main, parse_domain
 from quandlekit.counterexamples import PAIR4_X, PAIR4_Y
 from quandlekit.domains import GF, QQ, ZZ
-from quandlekit.errors import QuandleKitError
+from quandlekit.errors import AxiomViolationError, QuandleKitError
 from quandlekit.quandles import to_json_dict, validate_table
 from quandlekit.rings import DEFAULT_WITNESS_BOX, is_ring_isomorphism, quandle_ring
 from quandlekit.symmetry import DEFAULT_ENUM_BOUND, quandle_polynomial
@@ -189,6 +190,55 @@ def test_axiom_violation_json_lists_witnesses(tmp_path, capsys):
     doc = json.loads(stdout)
     assert doc["outputs"]["valid"] is False
     assert doc["outputs"]["violations"]
+
+
+BAD_AXIOM_I = {"n": 2, "table": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("iso", "BAD", "GOOD"),
+        ("iso", "GOOD", "BAD"),
+        ("decompose", "BAD"),
+        ("power-assoc", "BAD"),
+        ("make", "table", "BAD"),
+    ],
+)
+def test_axiom_violation_names_the_file(tmp_path, capsys, command):
+    bad = write_json(tmp_path / "bad.json", BAD_AXIOM_I)
+    good = write_json(tmp_path / "good.json", {"n": 2, "table": [[0, 0], [1, 1]]})
+    paths = {"BAD": bad, "GOOD": good}
+    code, stdout, err = run(capsys, *(paths.get(arg, arg) for arg in command))
+    assert (code, stdout) == (4, "")
+    assert err.startswith("axiom violation: %s: " % bad)
+    assert good not in err
+
+
+def test_load_quandle_keeps_the_violations(tmp_path):
+    bad = write_json(tmp_path / "bad.json", BAD_AXIOM_I)
+    with pytest.raises(AxiomViolationError) as info:
+        cli.load_quandle(bad)
+    assert str(info.value).startswith(bad + ": ")
+    assert info.value.violations == validate_table(2, BAD_AXIOM_I["table"]).violations
+
+
+def test_check_reads_the_table_from_stdin(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "r5.json"
+    run(capsys, "make", "dihedral", "5", "-o", str(path))
+    _, from_file, _ = run(capsys, "check", str(path), "--json")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+    code, from_stdin, err = run(capsys, "check", "-", "--json")
+    assert (code, err) == (0, "")
+    assert from_stdin == from_file
+
+
+def test_make_table_writes_the_same_json_back(tmp_path, capsys):
+    path = tmp_path / "a5.json"
+    run(capsys, "make", "alexander", "5", "2", "-o", str(path))
+    code, stdout, err = run(capsys, "make", "table", str(path))
+    assert (code, err) == (0, "")
+    assert stdout == path.read_text()
 
 
 def all_witnesses(n, table):
@@ -681,3 +731,12 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert code == 1
     fails = [l for l in stdout.splitlines() if l.startswith("FAIL")]
     assert fails == ["FAIL product table cell n=8 e_1*e_2"]
+
+
+def test_verify_detects_a_bad_generalized_pair(capsys, monkeypatch):
+    # generalized_counterexample(6, 3) refuses: 3 does not divide 6 - 1
+    monkeypatch.setitem(EXPECTED, "generalized_pairs", [(6, 3)])
+    code, stdout, _ = run(capsys, "verify")
+    assert code == 1
+    fails = [l for l in stdout.splitlines() if l.startswith("FAIL")]
+    assert fails == ["FAIL generalized pair (n=6, p=3)"]

@@ -18,6 +18,7 @@ from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.errors import CapacityError, DimensionMismatchError, PreconditionError
 from quandlekit.quandles import Quandle, dihedral_quandle, trivial_quandle
 from quandlekit.rings import (
+    BasedRing,
     _albert_identities,
     augmentation,
     direct_sum,
@@ -190,6 +191,17 @@ def test_brute_force_separates_sum_of_points_from_trivial3():
         s = direct_sum(direct_sum(pt, pt), pt)
         t3 = quandle_ring(trivial_quandle(3), GF(p))
         assert find_ring_isomorphism(s, t3) is None
+
+
+def test_brute_force_checks_zero_products():
+    # r2 is r1 with its zero product e_1 * e_2 = 0 made e_0: the identity
+    # respects every other product, so only that one rules it out
+    r1_table = ((-1, 1, 0), (0, 1, -1), (2, 1, 2))
+    r2_table = ((-1, 1, 0), (0, 1, 0), (2, 1, 2))
+    for p in (2, 3, 5):
+        r1, r2 = BasedRing(GF(p), r1_table), BasedRing(GF(p), r2_table)
+        assert find_ring_isomorphism(r1, r2) is None
+        assert find_ring_isomorphism(r1, r1) == [[int(i == j) for j in range(3)] for i in range(3)]
 
 
 def test_brute_force_budget():
