@@ -39,6 +39,7 @@ from .domains import GF, QQ, ZZ
 from .errors import (
     AxiomViolationError,
     CapacityError,
+    GroupAxiomError,
     MalformedTableError,
     QuandleKitError,
 )
@@ -197,14 +198,16 @@ def _read_json(path):
 
 @contextmanager
 def _naming(path):
-    """Put path in front of a MalformedTableError or AxiomViolationError
-    raised inside the block."""
+    """Put path in front of a MalformedTableError, AxiomViolationError or
+    GroupAxiomError raised inside the block."""
     try:
         yield
     except MalformedTableError as exc:
         raise MalformedTableError(exc.code, "%s: %s" % (path, exc)) from exc
     except AxiomViolationError as exc:
         raise AxiomViolationError("%s: %s" % (path, exc), exc.violations) from exc
+    except GroupAxiomError as exc:
+        raise GroupAxiomError("%s: %s" % (path, exc)) from exc
 
 
 def _from_cayley(path, construct):

@@ -179,11 +179,15 @@ def _validate_group(cayley):
                 break
         if inverse[i] is None:
             raise GroupAxiomError("element %d has no inverse" % i)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if cayley[cayley[a][b]][c] != cayley[a][cayley[b][c]]:
-                    raise GroupAxiomError("associativity fails at (%d,%d,%d)" % (a, b, c))
+    # Light's test: the g with (x*g)*y = x*(g*y) for all x, y are closed under *, so they
+    # are all of G if they hold the generators, whose orbit under u -> u*s covers G
+    gens = generating_set(Quandle(n, cayley))
+    if not all(list(cayley[row[g]]) == [row[v] for v in cayley[g]] for g in gens for row in cayley):
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    if cayley[cayley[a][b]][c] != cayley[a][cayley[b][c]]:
+                        raise GroupAxiomError("associativity fails at (%d,%d,%d)" % (a, b, c))
     return identity, inverse
 
 
@@ -253,17 +257,19 @@ def orbit_partition_type(orbs, n):
 
 
 def generating_set(x):
-    """Greedy generators: each the least element outside the closure under
-    the operation of the ones before (a subquandle, as X is finite).  Since
-    R_(x > y) = R_y R_x R_y^-1, their R_a generate Inn(X)."""
-    gens, inside = [], set()
+    """Greedy generators: each the least element outside the orbit of the
+    ones before under their columns u -> u > s, found breadth-first in
+    O(n * len(gens)).  In a quandle, R_(a > b) = R_b R_a R_b^-1, so that
+    orbit is closed under the operation: it is the subquandle the ones
+    before generate, and their R_a generate Inn(X)."""
+    t, gens, inside = x.table, [], set()
     for a in range(x.n):
         if a not in inside:
             gens.append(a)
-            new = {a}
-            while new:  # pairs with a new element on either side
+            new = {a}.union(t[u][a] for u in inside) - inside  # a, and the old orbit moved by R_a
+            while new:
                 inside |= new
-                new = {w for u in new for v in inside for w in (x.table[u][v], x.table[v][u])} - inside
+                new = {t[u][s] for u in new for s in gens} - inside
     return tuple(gens)
 
 

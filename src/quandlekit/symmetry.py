@@ -260,12 +260,8 @@ class QuandlePolynomial:
 
 def _element_rc(x):
     """Per element v: r = #{j : v>j = v} and c = #{i : i>v = i}."""
-    out = []
-    for v in range(x.n):
-        r = sum(1 for j in range(x.n) if x.table[v][j] == v)
-        c = sum(1 for i in range(x.n) if x.table[i][v] == i)
-        out.append((r, c))
-    return out
+    t = x.table
+    return [(row.count(v), sum(1 for i, r in enumerate(t) if r[v] == i)) for v, row in enumerate(t)]
 
 
 def quandle_polynomial(x):
@@ -364,20 +360,26 @@ def canonical_form(x):
        those labels is a leaf table, and the result is the least one.
     Cell order reads only cell indices, never labels, so every relabeling
     of x has the same leaf tables, and isomorphic quandles get equal
-    results.  A leaf equal to the first leaf or to the least one so far
-    gives an automorphism; only those two leaves are kept.  A member is
-    skipped when the automorphisms found that fix the path pointwise map
-    it onto a member already tried, as its subtree has the same leaf
-    tables.  The least leaf is in general not the lexicographically least
-    table over all n! relabelings.
+    results.  The automorphisms known start as the distinct non-identity
+    columns R_j (axiom III makes each one an automorphism), and a leaf
+    equal to the first leaf or to the least one so far adds one; only
+    those two leaves are kept.  A member is skipped when the automorphisms
+    known that fix the path pointwise map it onto a member already tried:
+    such an automorphism maps the partition of the path onto itself, so
+    the two subtrees have the same leaf tables, and the least leaf does
+    not change.  The least leaf is in general not the lexicographically
+    least table over all n! relabelings.
     """
-    n = x.n
-    if n > CANONICAL_MAX_N:
+    if x.n > CANONICAL_MAX_N:
         raise CapacityError("canonical_form limited to n <= %d" % CANONICAL_MAX_N)
-    t = x.table
-    inv = _element_invariants(x)
+    return _canonical_form(x, _element_invariants(x))
+
+
+def _canonical_form(x, inv):
+    """`canonical_form` of x, given its `_element_invariants` inv."""
+    n, t = x.n, x.table
     leaves = []  # the first leaf and the least later one: (table, the elements in label order)
-    autos = []
+    autos = inner_moves(x, range(n))  # the distinct non-identity columns
 
     def search(cells, path):
         cells = _refine(t, cells)
@@ -548,12 +550,18 @@ def _enumerate(n):
        the lowest empty column, propagates until the stack is empty, and
        undoes its columns when it backtracks.  Every pair of placed
        columns has then been checked, so a complete table is a quandle.
-    3. Complete tables are bucketed by their sorted per-element
-       invariants, which fix the partition type; one is kept only when
-       `_find_isomorphism` matches no representative of its bucket.
-       `canonical_form` runs once per class, and the result is sorted by
-       canonical table: the least leaf table of its search, a relabeling
-       of the class, not in general its lex-min table.
+    3. A complete table is dropped when some element v >= 1 has a column
+       of rank r and `_element_invariants` below those of 0.  No class is
+       lost: relabel to 0 an element of least invariants among those of
+       the class's least rank r, as in step 1; that table is searched,
+       and no element of rank r has invariants below those of its 0.  The
+       other tables are bucketed by their sorted per-element invariants,
+       which fix the partition type; one is kept only when
+       `_find_isomorphism` matches no representative of its bucket.  The
+       canonical form, given the invariants held, runs once per class,
+       and the result is sorted by canonical table: the least leaf table
+       of its search, a relabeling of the class, not in general its
+       lex-min table.
     """
     type_reps = _cycle_type_reps(n)
     rank_of_type = {_cycle_lengths(rep): r for r, rep in enumerate(type_reps)}
@@ -592,6 +600,8 @@ def _enumerate(n):
     def keep():
         q = Quandle(n, tuple(zip(*cols)))
         inv = _element_invariants(q)
+        if any(inv[v] < inv[0] and rank[cols[v]] == least for v in range(1, n)):  # step 3
+            return
         reps = buckets.setdefault(tuple(sorted(inv)), [])
         if all(_find_isomorphism(q, r, inv, inv_r) is None for r, inv_r in reps):
             reps.append((q, inv))
@@ -614,5 +624,5 @@ def _enumerate(n):
         candidates = [None] + [[col for col in js if rank[col] >= least] for js in perms]
         search(0, rep, candidates)
     del search  # it refers to itself: unlink it so the search state is freed now
-    found = sorted(canonical_form(q) for reps in buckets.values() for q, _ in reps)
+    found = sorted(_canonical_form(q, inv) for reps in buckets.values() for q, inv in reps)
     return tuple(Quandle(n, tbl) for tbl in found)

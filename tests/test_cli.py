@@ -215,6 +215,14 @@ def test_axiom_violation_names_the_file(tmp_path, capsys, command):
     assert good not in err
 
 
+@pytest.mark.parametrize("family", ["conj", "core"])
+def test_group_axiom_error_names_the_file(tmp_path, capsys, family):
+    bad = write_json(tmp_path / "bad.json", {"table": [[0, 0], [0, 0]]})
+    code, stdout, err = run(capsys, "make", family, bad)
+    assert (code, stdout) == (2, "")
+    assert err == "bad parameters: %s: no identity element\n" % bad
+
+
 def test_load_quandle_keeps_the_violations(tmp_path):
     bad = write_json(tmp_path / "bad.json", BAD_AXIOM_I)
     with pytest.raises(AxiomViolationError) as info:

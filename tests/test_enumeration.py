@@ -7,6 +7,9 @@ fixing its index, each placement rescans the axiom III instances it made
 decidable, and every complete table is canonicalised by
 `oracle_canonical_form`, the earlier n! relabeling scan.  Both are
 exponential in n, so the enumerator is compared for n <= 5 only.
+`oracle_unseeded_canonical_form` is the canonical form before it knew
+the columns R_j as automorphisms: it learns every automorphism from
+equal leaves.
 """
 
 import itertools
@@ -21,6 +24,8 @@ from quandlekit.symmetry import (
     _cycle_type_reps,
     _element_invariants,
     _find_isomorphism,
+    _orbit,
+    _refine,
     canonical_form,
     enumerate_quandles,
     quandles_isomorphic,
@@ -86,6 +91,42 @@ def oracle_canonical_form(x):
         if not worse and not comparing:
             best = tuple(flat)
     return tuple(tuple(best[a * n:(a + 1) * n]) for a in range(n))
+
+
+def oracle_unseeded_canonical_form(x):
+    """The individualisation-refinement search of `canonical_form` with no
+    automorphism known at the start."""
+    n, t = x.n, x.table
+    inv = _element_invariants(x)
+    leaves, autos = [], []
+
+    def search(cells, path):
+        cells = _refine(t, cells)
+        c = next((c for c, cell in enumerate(cells) if len(cell) > 1), None)
+        if c is None:
+            order = [cell[0] for cell in cells]
+            label = [0] * n
+            for a, v in enumerate(order):
+                label[v] = a
+            table = tuple(label[t[v][w]] for v in order for w in order)
+            for kept, kept_order in leaves:
+                if kept == table:
+                    autos.append(tuple(kept_order[label[v]] for v in range(n)))
+                    return
+            if len(leaves) < 2:
+                leaves.append((table, order))
+            elif table < leaves[1][0]:
+                leaves[1] = (table, order)
+            return
+        tried = []
+        for v in cells[c]:
+            if _orbit(v, [g for g in autos if all(g[p] == p for p in path)]).isdisjoint(tried):
+                tried.append(v)
+                search(cells[:c] + [[v], [w for w in cells[c] if w != v]] + cells[c + 1:], path + [v])
+
+    search([[v for v in range(n) if inv[v] == key] for key in sorted(set(inv))], [])
+    best = min(leaves)[0]
+    return tuple(best[a * n:(a + 1) * n] for a in range(n))
 
 
 def oracle_enumerate(n):
@@ -212,3 +253,37 @@ def test_canonical_form_is_one_table_under_every_relabeling(n):
     for q in enumerate_quandles(n):
         sigmas = itertools.permutations(range(n)) if n <= 5 else (rng.sample(range(n), n) for _ in range(20))
         assert {canonical_form(relabel(q, sigma)) for sigma in sigmas} == {q.table}
+
+
+def test_canonical_form_matches_the_unseeded_search():
+    # every class of order <= 7 and two seeded relabelings of each: the
+    # columns known as automorphisms from the start only skip subtrees
+    rng = random.Random(2900)
+    for n in range(1, 8):
+        for q in enumerate_quandles(n):
+            for x in (q, relabel(q, rng.sample(range(n), n)), relabel(q, rng.sample(range(n), n))):
+                assert canonical_form(x) == oracle_unseeded_canonical_form(x) == q.table
+
+
+# The two relabeled classes of order <= 7 (three seeded relabelings each
+# searched) on which pruning with every known automorphism, and not only
+# with those that fix the path, gives a leaf table other than the least.
+PRUNE_WITNESSES = [
+    (
+        [[0, 2, 1, 0, 0, 0], [2, 1, 0, 1, 1, 1], [1, 0, 2, 2, 2, 2], [3, 4, 5, 3, 3, 3],
+         [5, 3, 4, 4, 4, 4], [4, 5, 3, 5, 5, 5]],
+        [1, 4, 2, 5, 3, 0],
+    ),
+    (
+        [[0, 0, 0, 0, 1, 2, 3], [1, 1, 1, 1, 0, 3, 2], [2, 2, 2, 2, 3, 1, 0], [3, 3, 3, 3, 2, 0, 1],
+         [4, 4, 4, 4, 4, 4, 4], [5, 5, 5, 5, 5, 5, 5], [6, 6, 6, 6, 6, 6, 6]],
+        [3, 2, 0, 4, 6, 1, 5],
+    ),
+]
+
+
+@pytest.mark.parametrize("table, sigma", PRUNE_WITNESSES)
+def test_canonical_form_prunes_only_with_automorphisms_fixing_the_path(table, sigma):
+    q = Quandle.from_table(table)
+    assert canonical_form(q) == q.table
+    assert canonical_form(relabel(q, sigma)) == q.table

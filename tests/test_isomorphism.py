@@ -103,15 +103,26 @@ def union(*parts):
     return q
 
 
+def translation_groups():
+    """The Cayley tables of the groups the `translations` workload builds
+    conjugation and core quandles of."""
+    groups = {
+        "S3": cayley_table([(1, 0, 2), (1, 2, 0)]),
+        "Q8": cayley_table([(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)]),
+        "A4": cayley_table([(1, 2, 0, 3), (0, 2, 3, 1)]),
+        "Z2xZ4": cayley_table([(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)]),
+        "Z3xZ3": cayley_table([(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)]),
+        "Z4xZ4": cayley_table([(1, 2, 3, 0, 4, 5, 6, 7), (0, 1, 2, 3, 5, 6, 7, 4)]),
+    }
+    groups.update(("D%d" % k, dihedral_group(k)) for k in (4, 5, 6, 7, 8, 9, 10, 12))
+    return groups
+
+
 def translation_bases():
     """The base quandles of the `translations` workload, order 6 to 29."""
     R, A, T = dihedral_quandle, alexander_quandle, trivial_quandle
-    s3 = cayley_table([(1, 0, 2), (1, 2, 0)])
-    q8 = cayley_table([(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)])
-    a4 = cayley_table([(1, 2, 0, 3), (0, 2, 3, 1)])
-    z2z4 = cayley_table([(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)])
-    z3z3 = cayley_table([(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)])
-    z4z4 = cayley_table([(1, 2, 3, 0, 4, 5, 6, 7), (0, 1, 2, 3, 5, 6, 7, 4)])
+    g = translation_groups()
+    s3, q8, a4, z2z4, z3z3, z4z4 = (g[k] for k in ("S3", "Q8", "A4", "Z2xZ4", "Z3xZ3", "Z4xZ4"))
     qs = [R(n) for n in list(range(6, 19)) + [20, 21, 24]]
     qs += [
         A(n, t)

@@ -6,6 +6,7 @@ import pytest
 from conftest import relabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_isomorphism import translation_bases, translation_groups
 
 from quandlekit import quandles
 from quandlekit.errors import (
@@ -25,6 +26,7 @@ from quandlekit.quandles import (
     disjoint_union,
     dumps,
     from_json_dict,
+    generating_set,
     left_translation,
     orbits,
     partition_type,
@@ -319,3 +321,106 @@ def test_validation_of_every_table_up_to_order_3(monkeypatch, scan_max_n):
             table = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
             report = validate_table(n, table)
             assert (report.ok, report.violations) == oracle_validate(n, table), table
+
+
+def oracle_generating_set(x):
+    """Greedy generators, each the least element outside the closure of the
+    ones before under the operation, closed pair by pair."""
+    gens, inside = [], set()
+    for a in range(x.n):
+        if a not in inside:
+            gens.append(a)
+            new = {a}
+            while new:
+                inside |= new
+                new = {w for u in new for v in inside for w in (x.table[u][v], x.table[v][u])} - inside
+    return tuple(gens)
+
+
+def test_generating_set_matches_the_pair_closure():
+    # every class of order <= 7 and a seeded relabeling of each base of the
+    # translations workload (order 6 to 29)
+    rng = random.Random(2901)
+    qs = [q for n in range(1, 8) for q in enumerate_quandles(n)]
+    qs += [relabel(q, rng.sample(range(q.n), q.n)) for q in translation_bases()]
+    for q in qs:
+        assert generating_set(q) == oracle_generating_set(q), q.table
+
+
+def test_validation_of_relabeled_bases_with_a_swapped_column_entry(monkeypatch):
+    # two entries of one column swapped, so every column stays onto and
+    # tables above SCAN_MAX_N are first checked at their generators
+    rng = random.Random(2902)
+    verdicts = []
+    for q in translation_bases():
+        n = q.n
+        table = [list(row) for row in relabel(q, rng.sample(range(n), n)).table]
+        for _ in range(3):
+            swapped = [row[:] for row in table]
+            j, (a, b) = rng.randrange(n), rng.sample(range(n), 2)
+            swapped[a][j], swapped[b][j] = swapped[b][j], swapped[a][j]
+            want = oracle_validate(n, swapped)
+            for scan_max_n in (quandles.SCAN_MAX_N, 0):
+                monkeypatch.setattr(quandles, "SCAN_MAX_N", scan_max_n)
+                report = validate_table(n, swapped)
+                assert (report.ok, report.violations) == want, swapped
+            verdicts.append(tuple(sorted({axiom for axiom, _ in want[1]})))
+    assert verdicts.count(("III",)) > 200
+
+
+def oracle_validate_group(cayley):
+    """(identity, inverses) of a Cayley table, or the message of its first
+    failure, associativity decided by the n^3 scan."""
+    n = len(cayley)
+    identity = next((e for e in range(n) if all(cayley[e][j] == j == cayley[j][e] for j in range(n))), None)
+    if identity is None:
+        return "no identity element"
+    inverse = []
+    for i in range(n):
+        inverse.append(next((j for j in range(n) if cayley[i][j] == identity == cayley[j][i]), None))
+        if inverse[i] is None:
+            return "element %d has no inverse" % i
+    for abc in itertools.product(range(n), repeat=3):
+        a, b, c = abc
+        if cayley[cayley[a][b]][c] != cayley[a][cayley[b][c]]:
+            return "associativity fails at (%d,%d,%d)" % abc
+    return identity, inverse
+
+
+def group_verdict(cayley):
+    try:
+        return quandles._validate_group(cayley)
+    except GroupAxiomError as exc:
+        return str(exc)
+
+
+def test_group_validation_matches_the_full_scan():
+    # the groups of the translations workload and two cyclic groups (whose
+    # greedy generators are the identity and one more), each as built and
+    # under a seeded relabeling, and each of those with one product changed
+    # or two products of one row swapped
+    rng = random.Random(2903)
+    groups = list(translation_groups().values()) + [cyclic_cayley(6), cyclic_cayley(7)]
+    verdicts = []
+    for cayley in groups:
+        n = len(cayley)
+        sigma = rng.sample(range(n), n)
+        moved = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                moved[sigma[a]][sigma[b]] = sigma[cayley[a][b]]
+        for table in (cayley, moved):
+            cases = [table]
+            for _ in range(8):
+                changed = [list(row) for row in table]
+                a, b = rng.randrange(n), rng.randrange(n)
+                changed[a][b] = (changed[a][b] + rng.randrange(1, n)) % n
+                swapped = [list(row) for row in table]
+                a, (b, c) = rng.randrange(n), rng.sample(range(n), 2)
+                swapped[a][b], swapped[a][c] = swapped[a][c], swapped[a][b]
+                cases += [changed, swapped]
+            for case in cases:
+                verdicts.append(oracle_validate_group(case))
+                assert group_verdict(case) == verdicts[-1], case
+    assert sum(isinstance(v, tuple) for v in verdicts) == 2 * len(groups)
+    assert sum(isinstance(v, str) and v.startswith("associativity") for v in verdicts) > 200
