@@ -53,6 +53,7 @@ from .quandles import (
     disjoint_union,
     dumps,
     from_json_dict,
+    inner_moves,
     orbits,
     orbit_partition_type,
     partition_type,
@@ -70,6 +71,7 @@ from .rings import (
 )
 from .symmetry import (
     DEFAULT_ENUM_BOUND,
+    _orbits_2transitive,
     enumerate_quandles,
     inner_group,
     is_left_2transitive,
@@ -300,7 +302,7 @@ def quandle_summary(q):
     orbs = orbits(q)
     qp = quandle_polynomial(q)
     latin = all(len(set(row)) == q.n for row in q.table)
-    right2t, left2t = is_right_orbit_2transitive(q), is_left_peak_2transitive(q)
+    right2t, left2t = _orbits_2transitive(inner_moves(q), orbs), is_left_peak_2transitive(q)
     return {
         "n": q.n,
         "orbits": [list(o) for o in orbs],

@@ -8,8 +8,8 @@ zero, so any index is reduced mod n and index 0 is dropped.
 """
 
 import itertools
-from dataclasses import dataclass
 
+from ._record import Record
 from .domains import GF, ZZ, _is_prime
 from .errors import PreconditionError, QuandleKitError
 from .lattices import _spin, delta_powers, delta_quotients, span
@@ -17,12 +17,14 @@ from .linalg import hnf_solve, rref
 from .quandles import dihedral_quandle, inner_moves
 
 
-@dataclass(frozen=True)
-class EBasisExpr:
+class EBasisExpr(Record):
     """Sparse integer combination of e_1, ..., e_{n-1}."""
 
-    n: int
-    coeffs: tuple  # sorted tuple of (index, coefficient), no zeros
+    __slots__ = ("n", "coeffs")  # coeffs: sorted tuple of (index, coefficient), no zeros
+
+    def __init__(self, n, coeffs):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __str__(self):
         if not self.coeffs:
@@ -114,12 +116,14 @@ def _families(n, case):
     return [(label, instances) for only, label, instances in fams if only in (None, case)]
 
 
-@dataclass(frozen=True)
-class FormulaReport:
-    n: int
-    case: int
-    checked: int
-    mismatches: tuple  # of (family label, i-index of the instance)
+class FormulaReport(Record):
+    __slots__ = ("n", "case", "checked", "mismatches")  # mismatches: (family label, i-index of the instance)
+
+    def __init__(self, n, case, checked, mismatches):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "mismatches", mismatches)
 
     @property
     def ok(self):
@@ -172,20 +176,24 @@ def odd_relations_check(n):
     return None not in hnf_solve(delta2.basis, map(e_to_vector, exprs))
 
 
-@dataclass(frozen=True)
-class ComplexSummand:
-    label: str
-    dim: int
-    invariant: bool
-    simple: bool
+class ComplexSummand(Record):
+    __slots__ = ("label", "dim", "invariant", "simple")
+
+    def __init__(self, label, dim, invariant, simple):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "simple", simple)
 
 
-@dataclass(frozen=True)
-class ComplexDecompositionReport:
-    n: int
-    prime: int
-    summands: tuple
-    total_dim: int  # dimension of the sum of the summands
+class ComplexDecompositionReport(Record):
+    __slots__ = ("n", "prime", "summands", "total_dim")  # total_dim: dimension of the sum of the summands
+
+    def __init__(self, n, prime, summands, total_dim):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "total_dim", total_dim)
 
     @property
     def ok(self):

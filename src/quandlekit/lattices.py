@@ -22,9 +22,9 @@ Whether an orbit summand over F_p is simple is decided by Norton's
 irreducibility test, in `meataxe`, which a call imports on first use.
 """
 
-from dataclasses import dataclass
 from math import lcm
 
+from ._record import Record
 from .domains import GF, ZZ, _is_prime
 from .errors import (
     ContainmentError,
@@ -44,11 +44,13 @@ from .quandles import generating_set, inner_moves, orbits, right_translation
 from .rings import multiply
 from .symmetry import reaches_every_pair, restricted_action
 
-@dataclass(frozen=True)
-class Submodule:
-    ambient_dim: int
-    domain: object
-    basis: tuple  # reduced basis rows, tuple of tuples
+class Submodule(Record):
+    __slots__ = ("ambient_dim", "domain", "basis")  # basis: reduced basis rows, tuple of tuples
+
+    def __init__(self, ambient_dim, domain, basis):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def rank(self):
@@ -256,10 +258,12 @@ def delta_quotients(x, k_max):
     return shapes, None
 
 
-@dataclass(frozen=True)
-class AbelianGroupShape:
-    free_rank: int
-    torsion: tuple  # invariant factors d_1 | d_2 | ..., each > 1
+class AbelianGroupShape(Record):
+    __slots__ = ("free_rank", "torsion")  # torsion: invariant factors d_1 | d_2 | ..., each > 1
+
+    def __init__(self, free_rank, torsion):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     def order(self):
         """Group order, or None when infinite."""
@@ -345,20 +349,23 @@ def orbit_summands(x, domain):
     return out
 
 
-@dataclass(frozen=True)
-class OrbitSummandReport:
-    orbit: tuple
-    dim_triv: int
-    dim_st: int
-    simple: object  # True / False / "unknown"
-    # reduced basis of a proper nonzero invariant subspace when not simple
-    # over F_p, and over Q the prime l when the summand was found simple
-    # by reduction mod l; neither is written by to_json
-    witness: tuple = None
-    reduction_prime: int = None
+class OrbitSummandReport(Record):
+    # simple is True, False or "unknown".  witness is the reduced basis of a
+    # proper nonzero invariant subspace when not simple over F_p, and over Q
+    # reduction_prime is the prime l when the summand was found simple by
+    # reduction mod l; neither is written by to_json
+    __slots__ = ("orbit", "dim_triv", "dim_st", "simple", "witness", "reduction_prime")
     # each R_j maps every orbit onto itself, so both summands of an orbit
     # are always right ideals
     invariant = True
+
+    def __init__(self, orbit, dim_triv, dim_st, simple, witness=None, reduction_prime=None):
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "dim_triv", dim_triv)
+        object.__setattr__(self, "dim_st", dim_st)
+        object.__setattr__(self, "simple", simple)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reduction_prime", reduction_prime)
 
     def to_json(self):
         return {
@@ -370,10 +377,12 @@ class OrbitSummandReport:
         }
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    entries: tuple
-    verdict: str  # "verified" / "not-simple" / "inconclusive"
+class DecompositionReport(Record):
+    __slots__ = ("entries", "verdict")  # verdict: "verified" / "not-simple" / "inconclusive"
+
+    def __init__(self, entries, verdict):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "verdict", verdict)
 
     def to_json(self):
         return {"verdict": self.verdict, "orbits": [e.to_json() for e in self.entries]}

@@ -6,10 +6,10 @@ Elements are 0-indexed throughout; serialized tables are 0-indexed too.
 """
 
 import json
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 
+from ._record import Record
 from .errors import (
     AxiomViolationError,
     EmptyQuandleError,
@@ -26,10 +26,12 @@ MAX_WITNESSES = 10  # reported per axiom
 SCAN_MAX_N = 8  # up to this order the n^3 scan of axiom III is cheaper than finding generators
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple  # of (axiom_id, witness_tuple)
+class ValidationReport(Record):
+    __slots__ = ("ok", "violations")  # violations: tuple of (axiom_id, witness_tuple)
+
+    def __init__(self, ok, violations):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
 
 def _check_shape(n, table):
@@ -107,8 +109,7 @@ def _checked(n, table):
     return Quandle(n, tuple(tuple(row) for row in table))
 
 
-@dataclass(frozen=True)
-class Quandle:
+class Quandle(Record):
     """Immutable finite quandle; table[i][j] = i > j.
 
     ``Quandle(n, table)`` trusts its caller: it checks neither the shape
@@ -117,8 +118,11 @@ class Quandle:
     ``from_json_dict``.
     """
 
-    n: int
-    table: tuple  # of tuples of int
+    __slots__ = ("n", "table")  # table: tuple of tuples of int
+
+    def __init__(self, n, table):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "table", table)
 
     @staticmethod
     def from_table(table, validate=True):

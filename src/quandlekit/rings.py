@@ -10,8 +10,8 @@ brings a result over F_p back into [0, p).
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record
 from .domains import GF, ZZ
 from .errors import (
     CapacityError,
@@ -25,16 +25,18 @@ DEFAULT_WITNESS_BOX = (-2, -1, 1, 2)  # the coefficients power_assoc_witness tri
 DEFAULT_ISO_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class BasedRing:
+class BasedRing(Record):
     """table[i][j] = k means e_i * e_j = e_k; k = -1 means e_i * e_j = 0.
 
     Code that scatters into a list of length dim + 1 lets the spare last
     slot, index -1, absorb the zero products.
     """
 
-    domain: object
-    table: tuple
+    __slots__ = ("domain", "table")
+
+    def __init__(self, domain, table):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "table", table)
 
     @property
     def dim(self):
@@ -130,12 +132,14 @@ def _violation(ring, u):
     return None
 
 
-@dataclass(frozen=True)
-class PowerAssocWitness:
-    element: tuple
-    identity: str  # "cube" or "fourth"
-    lhs: tuple
-    rhs: tuple
+class PowerAssocWitness(Record):
+    __slots__ = ("element", "identity", "lhs", "rhs")  # identity: "cube" or "fourth"
+
+    def __init__(self, element, identity, lhs, rhs):
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
 def power_assoc_witness(x, domain):

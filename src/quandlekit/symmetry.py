@@ -6,9 +6,9 @@ of ``i``.  ``compose(f, g)`` applies ``g`` first.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .errors import CapacityError, NotInvariantError, PreconditionError
 from .quandles import (
     Quandle,
@@ -133,8 +133,12 @@ def is_right_orbit_2transitive(x):
     generated by the restrictions of the `inner_moves` of x; singleton
     orbits are vacuous.
     """
-    moves = inner_moves(x)
-    return all(reaches_every_pair(restricted_action(moves, orb), len(orb)) for orb in orbits(x))
+    return _orbits_2transitive(inner_moves(x), orbits(x))
+
+
+def _orbits_2transitive(moves, orbs):
+    """The moves restricted to each orbit act 2-transitively on it."""
+    return all(reaches_every_pair(restricted_action(moves, orb), len(orb)) for orb in orbs)
 
 
 def is_left_peak_2transitive(x):
@@ -232,11 +236,13 @@ def _is_cycle_off(f, j):
     return f[j] == j and max(_cycle_lengths(f)) == max(len(f) - 1, 1)
 
 
-@dataclass(frozen=True)
-class QuandlePolynomial:
+class QuandlePolynomial(Record):
     """Multiset of (r(x), c(x)) exponent pairs, one per element."""
 
-    terms: tuple  # sorted tuple of (r, c) pairs, with repetition
+    __slots__ = ("terms",)  # sorted tuple of (r, c) pairs, with repetition
+
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", terms)
 
     def counts(self):
         out = {}

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_isomorphism import translation_bases, translation_groups
 
-from quandlekit import quandles
+from quandlekit import dihedral, lattices, quandles, rings, symmetry
 from quandlekit.errors import (
     AxiomViolationError,
     EmptyQuandleError,
@@ -424,3 +426,75 @@ def test_group_validation_matches_the_full_scan():
                 assert group_verdict(case) == verdicts[-1], case
     assert sum(isinstance(v, tuple) for v in verdicts) == 2 * len(groups)
     assert sum(isinstance(v, str) and v.startswith("associativity") for v in verdicts) > 200
+
+
+# every result record of the library: its fields in order, and the defaulted ones
+RECORDS = [
+    (quandles.ValidationReport, ("ok", "violations"), {}),
+    (quandles.Quandle, ("n", "table"), {}),
+    (rings.BasedRing, ("domain", "table"), {}),
+    (rings.PowerAssocWitness, ("element", "identity", "lhs", "rhs"), {}),
+    (symmetry.QuandlePolynomial, ("terms",), {}),
+    (lattices.Submodule, ("ambient_dim", "domain", "basis"), {}),
+    (lattices.AbelianGroupShape, ("free_rank", "torsion"), {}),
+    (
+        lattices.OrbitSummandReport,
+        ("orbit", "dim_triv", "dim_st", "simple", "witness", "reduction_prime"),
+        {"witness": None, "reduction_prime": None},
+    ),
+    (lattices.DecompositionReport, ("entries", "verdict"), {}),
+    (dihedral.EBasisExpr, ("n", "coeffs"), {}),
+    (dihedral.FormulaReport, ("n", "case", "checked", "mismatches"), {}),
+    (dihedral.ComplexSummand, ("label", "dim", "invariant", "simple"), {}),
+    (dihedral.ComplexDecompositionReport, ("n", "prime", "summands", "total_dim"), {}),
+]
+
+
+def field_values(fields):
+    # fresh equal tuples on every call, so equality is not identity
+    return [(name, i, (i,)) for i, name in enumerate(fields)]
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_immutable_values(cls, fields, defaults):
+    values = field_values(fields)
+    record = cls(*values)
+    assert [getattr(record, name) for name in fields] == values
+    assert cls(**dict(zip(fields, field_values(fields)))) == record
+    required = [name for name in fields if name not in defaults]
+    short = cls(*field_values(required))
+    assert [getattr(short, name) for name in fields[len(required):]] == list(defaults.values())
+    with pytest.raises(TypeError):
+        cls(*field_values(required)[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, unknown=1)
+
+    twin = cls(*field_values(fields))
+    assert twin == record and not twin != record and hash(twin) == hash(record)
+    assert cls(*values[:-1], ("other",)) != record
+    other = type("Other", (cls,), {})(*values)
+    assert other != record and record != other
+    assert record != tuple(values)
+
+    for name in fields + ("unknown",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert [getattr(record, name) for name in fields] == values
+
+    assert repr(record) == "%s(%s)" % (cls.__name__, ", ".join("%s=%r" % pair for pair in zip(fields, values)))
+    for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record
+
+
+def test_records_of_two_classes_with_equal_fields_differ():
+    t = ((0, 2, 1), (2, 1, 0), (1, 0, 2))
+    assert Quandle(3, t) != dihedral.EBasisExpr(3, t)
+
+
+def test_orbit_summands_are_invariant_by_class_attribute():
+    report = lattices.OrbitSummandReport((0,), 1, 0, True)
+    assert report.invariant is lattices.OrbitSummandReport.invariant is True
+    assert "invariant" not in repr(report)
