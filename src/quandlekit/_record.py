@@ -16,21 +16,24 @@ class Record:
     """An immutable record whose fields are its class's ``__slots__``.
 
     A subclass lists its fields in ``__slots__`` in the order its
-    ``__init__`` takes them, and sets each with ``object.__setattr__``.
+    ``__init__`` takes them, and sets each with ``object.__setattr__``; a
+    slot whose name starts with ``_``, such as a cache, is not a field.
     Two records are equal when they are of one class with equal fields.
     A record hashes as the tuple of its fields, prints as
-    ``Name(field=value, ...)``, pickles and copies by its fields, and
-    refuses assignment and deletion.
+    ``Name(field=value, ...)``, pickles and copies by its fields (a copy
+    gets its other slots afresh from ``__init__``), and refuses
+    assignment and deletion.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        get = attrgetter(*cls.__slots__)
+        cls._names = names = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        get = attrgetter(*names)
         # the fields as a tuple, read in C; attrgetter of one name returns the bare value.
         # Read from the class, where neither form binds to an instance.
-        cls._fields = get if len(cls.__slots__) > 1 else lambda record: (get(record),)
+        cls._fields = get if len(names) > 1 else lambda record: (get(record),)
 
     def __eq__(self, other):
         cls = self.__class__
@@ -43,8 +46,9 @@ class Record:
         return hash(self.__class__._fields(self))
 
     def __repr__(self):
-        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
-        return "%s(%s)" % (self.__class__.__qualname__, fields)
+        cls = self.__class__
+        fields = ", ".join("%s=%r" % pair for pair in zip(cls._names, cls._fields(self)))
+        return "%s(%s)" % (cls.__qualname__, fields)
 
     def __reduce__(self):
         return self.__class__, self.__class__._fields(self)

@@ -53,9 +53,7 @@ from .quandles import (
     disjoint_union,
     dumps,
     from_json_dict,
-    inner_moves,
     orbits,
-    orbit_partition_type,
     partition_type,
     to_json_dict,
     trivial_quandle,
@@ -71,7 +69,6 @@ from .rings import (
 )
 from .symmetry import (
     DEFAULT_ENUM_BOUND,
-    _orbits_2transitive,
     enumerate_quandles,
     inner_group,
     is_left_2transitive,
@@ -302,11 +299,11 @@ def quandle_summary(q):
     orbs = orbits(q)
     qp = quandle_polynomial(q)
     latin = all(len(set(row)) == q.n for row in q.table)
-    right2t, left2t = _orbits_2transitive(inner_moves(q), orbs), is_left_peak_2transitive(q)
+    right2t, left2t = is_right_orbit_2transitive(q), is_left_peak_2transitive(q)
     return {
         "n": q.n,
         "orbits": [list(o) for o in orbs],
-        "partition_type": list(orbit_partition_type(orbs, q.n)),
+        "partition_type": list(partition_type(q)),
         "connected": len(orbs) == 1,
         "latin": latin,
         "right2t": right2t,
@@ -496,6 +493,8 @@ def cmd_iso(args):
         raise QuandleKitError("--matrix needs --ring-domain")
     if args.budget is not None and (args.matrix or not args.ring_domain):
         raise QuandleKitError("--budget bounds the ring isomorphism search: it needs --ring-domain and no --matrix")
+    if args.budget is not None and args.budget < 0:
+        raise QuandleKitError("--budget must be >= 0, got %d" % args.budget)
     qx = load_quandle(args.x)
     qy = load_quandle(args.y)
     sigma = quandles_isomorphic(qx, qy)

@@ -14,7 +14,7 @@ from .domains import GF, ZZ, _is_prime
 from .errors import PreconditionError, QuandleKitError
 from .lattices import _spin, delta_powers, delta_quotients, span
 from .linalg import hnf_solve, rref
-from .quandles import dihedral_quandle, inner_moves
+from .quandles import dihedral_quandle, inner_moves, orbits
 
 
 class EBasisExpr(Record):
@@ -255,7 +255,7 @@ def complex_decomposition_check(n):
     if n < 3:
         raise PreconditionError("need n >= 3")
     x = dihedral_quandle(n)
-    orbit_list = [list(range(n))] if n % 2 else [list(range(0, n, 2)), list(range(1, n, 2))]
+    orbit_list = orbits(x)
     m = len(orbit_list[0])
     step = m if m % 2 == 0 else 2 * m  # lcm(m, 2)
     p = next(q for q in itertools.count(step + 1, step) if _is_prime(q))

@@ -125,10 +125,10 @@ def _spin(domain, seeds, moves):
     return tuple(form.rows())
 
 
-def _displacements(x, generators=None):
+def _displacements(x):
     """The distinct d_s = R_s0^-1 R_s other than the identity, for s_0, s in
-    `generating_set(x)` or the generators given, as tuples of the d_s(j)."""
-    first, *rest = (right_translation(x, a) for a in generators or generating_set(x))
+    `generating_set(x)`, as tuples of the d_s(j)."""
+    first, *rest = (right_translation(x, a) for a in generating_set(x))
     back = [0] * x.n
     for i, j in enumerate(first):
         back[j] = i
@@ -172,8 +172,7 @@ def _delta_chain(x, domain):
     """(principal, Delta^k) for k = 1, 2, ..., each power spun up when it
     is read; principal when there is at most one displacement d and <d> is
     normal, and then the spin has no moves (`delta_powers`)."""
-    gens = generating_set(x)
-    shifts, moves = _displacements(x, gens), inner_moves(x, gens)
+    shifts, moves = _displacements(x), inner_moves(x)
     principal = len(shifts) < 2 and all(_normalizes_cyclic(d, moves) for d in shifts)
     basis = augmentation_ideal(x, domain).basis
     while True:

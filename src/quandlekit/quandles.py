@@ -6,6 +6,7 @@ Elements are 0-indexed throughout; serialized tables are 0-indexed too.
 """
 
 import json
+from functools import wraps
 from itertools import islice
 from math import gcd
 
@@ -115,14 +116,16 @@ class Quandle(Record):
     ``Quandle(n, table)`` trusts its caller: it checks neither the shape
     nor the axioms, and is what the constructors below use.  Tables from
     outside go through the checked path, ``from_table`` or
-    ``from_json_dict``.
+    ``from_json_dict``.  The slot ``_derived`` is not a field: it maps each
+    `derived` function to its value on this quandle, filled on first use.
     """
 
-    __slots__ = ("n", "table")  # table: tuple of tuples of int
+    __slots__ = ("n", "table", "_derived")  # table: tuple of tuples of int
 
     def __init__(self, n, table):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_derived", {})
 
     @staticmethod
     def from_table(table, validate=True):
@@ -229,6 +232,18 @@ def disjoint_union(x, y):
     return Quandle(size, tuple(tuple(row) for row in table))
 
 
+def derived(fn):
+    """Cache fn(x) in ``x._derived``, once per quandle object, on first use.
+    Every caller gets the same value, so fn must return an immutable one."""
+    @wraps(fn)
+    def cached(x):
+        if fn not in x._derived:
+            x._derived[fn] = fn(x)
+        return x._derived[fn]
+    return cached
+
+
+@derived
 def orbits(x):
     """Orbit partition of [0,n) under Inn(X), as a sorted tuple of sorted tuples.
 
@@ -249,17 +264,13 @@ def orbits(x):
 
 def partition_type(x):
     """lambda[j-1] = number of orbits of cardinality j, for 1 <= j <= n."""
-    return orbit_partition_type(orbits(x), x.n)
-
-
-def orbit_partition_type(orbs, n):
-    """partition_type from an orbit partition of [0,n) already computed."""
-    lam = [0] * n
-    for orb in orbs:
+    lam = [0] * x.n
+    for orb in orbits(x):
         lam[len(orb) - 1] += 1
     return tuple(lam)
 
 
+@derived
 def generating_set(x):
     """Greedy generators: each the least element outside the orbit of the
     ones before under their columns u -> u > s, found breadth-first in
@@ -277,12 +288,13 @@ def generating_set(x):
     return tuple(gens)
 
 
-def inner_moves(x, generators=None):
-    """The distinct non-identity columns R_a, a in `generating_set(x)` (the
-    generators when given): they generate Inn(X), so closure or
-    transitivity under these moves is closure or transitivity under every R_j."""
-    columns = (tuple(row[a] for row in x.table) for a in generators or generating_set(x))
-    return [m for m in dict.fromkeys(columns) if m != tuple(range(x.n))]
+@derived
+def inner_moves(x):
+    """The distinct non-identity columns R_a, a in `generating_set(x)`, as
+    a tuple: they generate Inn(X), so closure or transitivity under these
+    moves is closure or transitivity under every R_j."""
+    columns = (tuple(row[a] for row in x.table) for a in generating_set(x))
+    return tuple(m for m in dict.fromkeys(columns) if m != tuple(range(x.n)))
 
 
 def right_translation(x, j):

@@ -12,6 +12,7 @@ from ._record import Record
 from .errors import CapacityError, NotInvariantError, PreconditionError
 from .quandles import (
     Quandle,
+    derived,
     generating_set,
     inner_moves,
     left_translation,
@@ -133,12 +134,8 @@ def is_right_orbit_2transitive(x):
     generated by the restrictions of the `inner_moves` of x; singleton
     orbits are vacuous.
     """
-    return _orbits_2transitive(inner_moves(x), orbits(x))
-
-
-def _orbits_2transitive(moves, orbs):
-    """The moves restricted to each orbit act 2-transitively on it."""
-    return all(reaches_every_pair(restricted_action(moves, orb), len(orb)) for orb in orbs)
+    moves = inner_moves(x)
+    return all(reaches_every_pair(restricted_action(moves, orb), len(orb)) for orb in orbits(x))
 
 
 def is_left_peak_2transitive(x):
@@ -264,20 +261,17 @@ class QuandlePolynomial(Record):
         return " + ".join(parts) if parts else "0"
 
 
-def _element_rc(x):
-    """Per element v: r = #{j : v>j = v} and c = #{i : i>v = i}."""
-    t = x.table
-    return [(row.count(v), sum(1 for i, r in enumerate(t) if r[v] == i)) for v, row in enumerate(t)]
-
-
 def quandle_polynomial(x):
-    """qp_X: one (r, c) term per element, see `_element_rc`."""
-    return QuandlePolynomial(terms=tuple(sorted(_element_rc(x))))
+    """qp_X: one (r, c) term per element, see `_element_invariants`."""
+    return QuandlePolynomial(terms=tuple(sorted((r, c) for r, c, _ in _element_invariants(x))))
 
 
+@derived
 def _element_invariants(x):
-    orbit_size = {v: len(orb) for orb in orbits(x) for v in orb}
-    return [(r, c, orbit_size[v]) for v, (r, c) in enumerate(_element_rc(x))]
+    """Per element v, as a tuple: (r, c, the size of the orbit of v), with
+    r = #{j : v>j = v} and c = #{i : i>v = i}."""
+    t, size = x.table, {v: len(orb) for orb in orbits(x) for v in orb}
+    return tuple((row.count(v), sum(1 for i, r in enumerate(t) if r[v] == i), size[v]) for v, row in enumerate(t))
 
 
 def quandles_isomorphic(x, y):
@@ -287,25 +281,23 @@ def quandles_isomorphic(x, y):
     invariants (which fix the partition type and the quandle polynomial)
     differ; otherwise the answer of `_find_isomorphism`.
     """
-    if x.n != y.n:
+    if x.n != y.n or sorted(_element_invariants(x)) != sorted(_element_invariants(y)):
         return None
-    inv_x, inv_y = _element_invariants(x), _element_invariants(y)
-    if sorted(inv_x) != sorted(inv_y):
-        return None
-    return _find_isomorphism(x, y, inv_x, inv_y)
+    return _find_isomorphism(x, y)
 
 
-def _find_isomorphism(x, y, inv_x, inv_y):
-    """An isomorphism sigma of x onto y, of equal order, or None; the
-    caller holds the invariants.  As sigma(a>b) = sigma(a)>sigma(b), the
-    images of `generating_set(x)` fix sigma.  Each generator in turn goes
-    to each free w of equal invariants, and then each product a>b of placed
-    elements must go to sigma(a)>sigma(b): an image held by another
-    element, of other invariants, or unequal to one already set ends the
-    branch.  With every generator placed, sigma is defined on all of X,
-    one-to-one, and a homomorphism.
+def _find_isomorphism(x, y):
+    """An isomorphism sigma of x onto y, of equal order, or None.  As
+    sigma(a>b) = sigma(a)>sigma(b), the images of `generating_set(x)` fix
+    sigma.  Each generator in turn goes to each free w of equal
+    invariants, and then each product a>b of placed elements must go to
+    sigma(a)>sigma(b): an image held by another element, of other
+    invariants, or unequal to one already set ends the branch.  With every
+    generator placed, sigma is defined on all of X, one-to-one, and a
+    homomorphism.
     """
     n, gens = x.n, generating_set(x)
+    inv_x, inv_y = _element_invariants(x), _element_invariants(y)
     sigma, back = [None] * n, [None] * n  # back[w]: the element sigma maps to w
     placed = []
 
@@ -378,14 +370,9 @@ def canonical_form(x):
     """
     if x.n > CANONICAL_MAX_N:
         raise CapacityError("canonical_form limited to n <= %d" % CANONICAL_MAX_N)
-    return _canonical_form(x, _element_invariants(x))
-
-
-def _canonical_form(x, inv):
-    """`canonical_form` of x, given its `_element_invariants` inv."""
-    n, t = x.n, x.table
+    n, t, inv = x.n, x.table, _element_invariants(x)
     leaves = []  # the first leaf and the least later one: (table, the elements in label order)
-    autos = inner_moves(x, range(n))  # the distinct non-identity columns
+    autos = [g for g in dict.fromkeys(zip(*t)) if g != tuple(range(n))]  # the distinct non-identity columns
 
     def search(cells, path):
         cells = _refine(t, cells)
@@ -564,10 +551,9 @@ def _enumerate(n):
        other tables are bucketed by their sorted per-element invariants,
        which fix the partition type; one is kept only when
        `_find_isomorphism` matches no representative of its bucket.  The
-       canonical form, given the invariants held, runs once per class,
-       and the result is sorted by canonical table: the least leaf table
-       of its search, a relabeling of the class, not in general its
-       lex-min table.
+       canonical form runs once per class, and the result is sorted by
+       canonical table: the least leaf table of its search, a relabeling
+       of the class, not in general its lex-min table.
     """
     type_reps = _cycle_type_reps(n)
     rank_of_type = {_cycle_lengths(rep): r for r, rep in enumerate(type_reps)}
@@ -609,8 +595,8 @@ def _enumerate(n):
         if any(inv[v] < inv[0] and rank[cols[v]] == least for v in range(1, n)):  # step 3
             return
         reps = buckets.setdefault(tuple(sorted(inv)), [])
-        if all(_find_isomorphism(q, r, inv, inv_r) is None for r, inv_r in reps):
-            reps.append((q, inv))
+        if all(_find_isomorphism(q, r) is None for r in reps):
+            reps.append(q)
 
     def search(c, col, candidates):
         """Place col as column c, search below it, and undo."""
@@ -630,5 +616,5 @@ def _enumerate(n):
         candidates = [None] + [[col for col in js if rank[col] >= least] for js in perms]
         search(0, rep, candidates)
     del search  # it refers to itself: unlink it so the search state is freed now
-    found = sorted(_canonical_form(q, inv) for reps in buckets.values() for q, inv in reps)
+    found = sorted(canonical_form(q) for reps in buckets.values() for q in reps)
     return tuple(Quandle(n, tbl) for tbl in found)

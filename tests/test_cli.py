@@ -521,6 +521,17 @@ def test_iso_budget_exceeded_is_capacity(tmp_path, capsys):
     assert "capacity" in err
 
 
+def test_iso_negative_budget_is_bad_parameters(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    run(capsys, "make", "trivial", "3", "-o", str(a))
+    code, stdout, err = run(capsys, "iso", str(a), str(a), "--ring-domain", "F3", "--budget", "-5")
+    assert (code, stdout) == (2, "")
+    assert "--budget" in err
+    code, _, err = run(capsys, "iso", str(a), str(a), "--ring-domain", "F3", "--budget", "0")
+    assert code == 5
+    assert "capacity" in err
+
+
 @pytest.mark.parametrize(
     "matrix",
     [

@@ -489,6 +489,23 @@ def test_records_are_immutable_values(cls, fields, defaults):
         assert type(copied) is cls and copied == record
 
 
+def test_quandle_cache_is_not_a_field():
+    # derived data kept on a quandle change none of its value semantics,
+    # and are shared, immutable, between callers
+    q, fresh = dihedral_quandle(5), dihedral_quandle(5)
+    moves = quandles.inner_moves(q)
+    derived = (generating_set(q), orbits(q), moves, symmetry._element_invariants(q))
+    assert len(q._derived) == 4 and fresh._derived == {}
+    hash(derived)  # tuples all the way down
+    assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+    assert repr(q) == "Quandle(n=5, table=%r)" % (q.table,)
+    for copied in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q)):
+        assert type(copied) is Quandle and copied == q and copied._derived == {}
+    assert quandles.inner_moves(q) is moves
+    with pytest.raises(AttributeError):
+        q._derived = {}
+
+
 def test_records_of_two_classes_with_equal_fields_differ():
     t = ((0, 2, 1), (2, 1, 0), (1, 0, 2))
     assert Quandle(3, t) != dihedral.EBasisExpr(3, t)

@@ -1,5 +1,8 @@
 import gc
 import itertools
+import json
+import sys
+from functools import lru_cache
 
 import pytest
 from conftest import relabel
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_pair_kernel import oracle_closure, oracle_peak, small_quandles
 
-from quandlekit import symmetry
+from quandlekit import cli, symmetry
 from quandlekit.errors import CapacityError, NotInvariantError
 from quandlekit.quandles import (
     Quandle,
@@ -287,3 +290,37 @@ def test_searches_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def count_calls(monkeypatch, names):
+    """Wrap each `symmetry` function named in every quandlekit module
+    namespace that binds it, as a tracer of the public functions does;
+    returns the call counts, filled as the wrappers run."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "quandlekit"]
+    for name in names:
+        original = getattr(symmetry, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return counts
+
+
+def test_searches_call_the_public_functions(monkeypatch, tmp_path):
+    # enumeration and check reach canonical_form and
+    # is_right_orbit_2transitive by name, so wrapping those names sees
+    # every call; a cold cache for the search, the process's own kept
+    monkeypatch.setattr(symmetry, "_enumerate", lru_cache(maxsize=None)(_enumerate.__wrapped__))
+    counts = count_calls(monkeypatch, ("canonical_form", "is_right_orbit_2transitive"))
+    assert len(enumerate_quandles(5)) == 22
+    assert counts == {"canonical_form": 22, "is_right_orbit_2transitive": 0}
+    path = tmp_path / "r5.json"
+    path.write_text(json.dumps({"n": 5, "table": [list(row) for row in dihedral_quandle(5).table]}))
+    assert cli.main(["check", str(path)]) == 0
+    assert counts == {"canonical_form": 22, "is_right_orbit_2transitive": 1}
