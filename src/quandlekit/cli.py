@@ -39,6 +39,7 @@ from .domains import GF, QQ, ZZ
 from .errors import (
     AxiomViolationError,
     CapacityError,
+    DimensionMismatchError,
     GroupAxiomError,
     MalformedTableError,
     QuandleKitError,
@@ -197,16 +198,13 @@ def _read_json(path):
 
 @contextmanager
 def _naming(path):
-    """Put path in front of a MalformedTableError, AxiomViolationError or
-    GroupAxiomError raised inside the block."""
+    """Put path in front of a MalformedTableError, AxiomViolationError,
+    GroupAxiomError or DimensionMismatchError raised inside the block."""
     try:
         yield
-    except MalformedTableError as exc:
-        raise MalformedTableError(exc.code, "%s: %s" % (path, exc)) from exc
-    except AxiomViolationError as exc:
-        raise AxiomViolationError("%s: %s" % (path, exc), exc.violations) from exc
-    except GroupAxiomError as exc:
-        raise GroupAxiomError("%s: %s" % (path, exc)) from exc
+    except (MalformedTableError, AxiomViolationError, GroupAxiomError, DimensionMismatchError) as exc:
+        exc.args = ("%s: %s" % (path, exc),)  # keeps the code or violations it carries
+        raise
 
 
 def _from_cayley(path, construct):
@@ -505,7 +503,9 @@ def cmd_iso(args):
         rx = quandle_ring(qx, domain)
         ry = quandle_ring(qy, domain)
         if args.matrix:
-            ok = is_ring_isomorphism(rx, ry, _read_matrix(args.matrix, domain))
+            matrix = _read_matrix(args.matrix, domain)
+            with _naming(args.matrix):
+                ok = is_ring_isomorphism(rx, ry, matrix)
             payload["ring_iso_matrix_valid"] = ok
             lines.append("given matrix is a ring isomorphism: %s" % ok)
         else:

@@ -22,10 +22,6 @@ class EBasisExpr(Record):
 
     __slots__ = ("n", "coeffs")  # coeffs: sorted tuple of (index, coefficient), no zeros
 
-    def __init__(self, n, coeffs):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -119,12 +115,6 @@ def _families(n, case):
 class FormulaReport(Record):
     __slots__ = ("n", "case", "checked", "mismatches")  # mismatches: (family label, i-index of the instance)
 
-    def __init__(self, n, case, checked, mismatches):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "mismatches", mismatches)
-
     @property
     def ok(self):
         return not self.mismatches
@@ -179,21 +169,9 @@ def odd_relations_check(n):
 class ComplexSummand(Record):
     __slots__ = ("label", "dim", "invariant", "simple")
 
-    def __init__(self, label, dim, invariant, simple):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "invariant", invariant)
-        object.__setattr__(self, "simple", simple)
-
 
 class ComplexDecompositionReport(Record):
     __slots__ = ("n", "prime", "summands", "total_dim")  # total_dim: dimension of the sum of the summands
-
-    def __init__(self, n, prime, summands, total_dim):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "summands", summands)
-        object.__setattr__(self, "total_dim", total_dim)
 
     @property
     def ok(self):

@@ -47,11 +47,6 @@ from .symmetry import reaches_every_pair, restricted_action
 class Submodule(Record):
     __slots__ = ("ambient_dim", "domain", "basis")  # basis: reduced basis rows, tuple of tuples
 
-    def __init__(self, ambient_dim, domain, basis):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "basis", basis)
-
     @property
     def rank(self):
         return len(self.basis)
@@ -260,10 +255,6 @@ def delta_quotients(x, k_max):
 class AbelianGroupShape(Record):
     __slots__ = ("free_rank", "torsion")  # torsion: invariant factors d_1 | d_2 | ..., each > 1
 
-    def __init__(self, free_rank, torsion):
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-
     def order(self):
         """Group order, or None when infinite."""
         if self.free_rank > 0:
@@ -354,17 +345,10 @@ class OrbitSummandReport(Record):
     # reduction_prime is the prime l when the summand was found simple by
     # reduction mod l; neither is written by to_json
     __slots__ = ("orbit", "dim_triv", "dim_st", "simple", "witness", "reduction_prime")
+    _defaults = (None, None)
     # each R_j maps every orbit onto itself, so both summands of an orbit
     # are always right ideals
     invariant = True
-
-    def __init__(self, orbit, dim_triv, dim_st, simple, witness=None, reduction_prime=None):
-        object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "dim_triv", dim_triv)
-        object.__setattr__(self, "dim_st", dim_st)
-        object.__setattr__(self, "simple", simple)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "reduction_prime", reduction_prime)
 
     def to_json(self):
         return {
@@ -378,10 +362,6 @@ class OrbitSummandReport(Record):
 
 class DecompositionReport(Record):
     __slots__ = ("entries", "verdict")  # verdict: "verified" / "not-simple" / "inconclusive"
-
-    def __init__(self, entries, verdict):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "verdict", verdict)
 
     def to_json(self):
         return {"verdict": self.verdict, "orbits": [e.to_json() for e in self.entries]}

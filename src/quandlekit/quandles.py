@@ -30,10 +30,6 @@ SCAN_MAX_N = 8  # up to this order the n^3 scan of axiom III is cheaper than fin
 class ValidationReport(Record):
     __slots__ = ("ok", "violations")  # violations: tuple of (axiom_id, witness_tuple)
 
-    def __init__(self, ok, violations):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "violations", violations)
-
 
 def _check_shape(n, table):
     if not isinstance(n, int) or isinstance(n, bool) or not isinstance(table, (list, tuple)):
@@ -69,12 +65,18 @@ def validate_table(n, table):
     violations are reported, not raised.
     """
     _check_shape(n, table)
+    return _axiom_report(Quandle(n, table))
+
+
+def _axiom_report(x):
+    """`validate_table`'s report on x, a Quandle of a table of the right shape."""
+    n, table = x.n, x.table
     not_onto = [(j,) for j, column in enumerate(zip(*table)) if len(set(column)) != n]
     # The k whose R_k respects > are closed under >, as R_(a>b) = R_b R_a R_b^-1
     # when R_b is an automorphism; so they are all of X if they hold its generators.
     scan = not_onto or n <= SCAN_MAX_N or not all(
         [r[v] for v in row] == [table[r[i]][v] for v in r]  # R_k(i > j) = R_k(i) > R_k(j)
-        for r in ([row[k] for row in table] for k in generating_set(Quandle(n, table)))
+        for r in ([row[k] for row in table] for k in generating_set(x))
         for i, row in enumerate(table)
     )
     scans = (
@@ -100,14 +102,17 @@ def validate_table(n, table):
 
 def _checked(n, table):
     """The Quandle of an n x n table: MalformedTableError for a broken
-    shape, AxiomViolationError carrying every reported witness otherwise."""
-    report = validate_table(n, table)
+    shape, AxiomViolationError carrying every reported witness otherwise.
+    The generators found in checking stay cached on the quandle."""
+    _check_shape(n, table)
+    x = Quandle(n, tuple(tuple(row) for row in table))
+    report = _axiom_report(x)
     if not report.ok:
         raise AxiomViolationError(
             "table violates quandle axioms: %s" % (report.violations[:3],),
             violations=report.violations,
         )
-    return Quandle(n, tuple(tuple(row) for row in table))
+    return x
 
 
 class Quandle(Record):
@@ -121,11 +126,6 @@ class Quandle(Record):
     """
 
     __slots__ = ("n", "table", "_derived")  # table: tuple of tuples of int
-
-    def __init__(self, n, table):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_derived", {})
 
     @staticmethod
     def from_table(table, validate=True):

@@ -34,10 +34,6 @@ class BasedRing(Record):
 
     __slots__ = ("domain", "table")
 
-    def __init__(self, domain, table):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "table", table)
-
     @property
     def dim(self):
         return len(self.table)
@@ -134,12 +130,6 @@ def _violation(ring, u):
 
 class PowerAssocWitness(Record):
     __slots__ = ("element", "identity", "lhs", "rhs")  # identity: "cube" or "fourth"
-
-    def __init__(self, element, identity, lhs, rhs):
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
 
 
 def power_assoc_witness(x, domain):

@@ -238,9 +238,6 @@ class QuandlePolynomial(Record):
 
     __slots__ = ("terms",)  # sorted tuple of (r, c) pairs, with repetition
 
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", terms)
-
     def counts(self):
         out = {}
         for t in self.terms:

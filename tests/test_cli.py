@@ -8,12 +8,12 @@ import sys
 
 import pytest
 
-from quandlekit import cli
+from quandlekit import cli, quandles
 from quandlekit.cli import EXPECTED, main, parse_domain
 from quandlekit.counterexamples import PAIR4_X, PAIR4_Y
 from quandlekit.domains import GF, QQ, ZZ
 from quandlekit.errors import AxiomViolationError, QuandleKitError
-from quandlekit.quandles import to_json_dict, validate_table
+from quandlekit.quandles import dihedral_quandle, to_json_dict, validate_table
 from quandlekit.rings import DEFAULT_WITNESS_BOX, is_ring_isomorphism, quandle_ring
 from quandlekit.symmetry import DEFAULT_ENUM_BOUND, quandle_polynomial
 
@@ -510,7 +510,11 @@ def test_iso_rings_of_different_dimension_are_not_isomorphic(tmp_path, capsys):
     eye = write_json(tmp_path / "eye.json", [[1, 0], [0, 1]])
     code, _, err = run(capsys, "iso", str(a), str(b), "--ring-domain", "F3", "--matrix", eye)
     assert code == 2
-    assert "shape" in err
+    assert "shape" in err and eye in err
+    ragged = write_json(tmp_path / "ragged.json", [[1, 0, 0], [0, 1], [0, 0, 1]])
+    code, _, err = run(capsys, "iso", str(a), str(a), "--ring-domain", "F3", "--matrix", ragged)
+    assert code == 2
+    assert "shape" in err and ragged in err
 
 
 def test_iso_budget_exceeded_is_capacity(tmp_path, capsys):
@@ -759,3 +763,22 @@ def test_verify_detects_a_bad_generalized_pair(capsys, monkeypatch):
     assert code == 1
     fails = [l for l in stdout.splitlines() if l.startswith("FAIL")]
     assert fails == ["FAIL generalized pair (n=6, p=3)"]
+
+
+def test_check_finds_the_generators_once(monkeypatch, tmp_path):
+    # above order 8 the axiom check finds the generators, and the quandle
+    # it returns keeps them for the inner moves of the summary
+    original, computed = quandles.generating_set, []
+
+    def counted(x):
+        computed.append(x.n)
+        return original.__wrapped__(x)
+
+    wrapper = quandles.derived(counted)
+    for module in [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "quandlekit"]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, wrapper)
+    path = write_json(tmp_path / "r9.json", to_json_dict(dihedral_quandle(9)))
+    assert main(["check", path]) == 0
+    assert computed == [9]

@@ -123,3 +123,12 @@ def test_startup_time_reported():
         "start-up REPORT (non-gating): %s in %.3fs, median of 5 fresh interpreters (%.3f-%.3fs)"
         % (STARTUP, statistics.median(seconds), min(seconds), max(seconds))
     )
+
+
+def test_source_size_reported():
+    """Non-gating: the lines of src/quandlekit/*.py, counted as `wc -l` counts them."""
+    paths = sorted(pathlib.Path(quandlekit.__file__).parent.glob("*.py"))
+    lines = sum(p.read_bytes().count(b"\n") for p in paths)
+    ACCEPTANCE_LINES.append(
+        "source size REPORT (non-gating): %d lines in %d files of src/quandlekit" % (lines, len(paths))
+    )

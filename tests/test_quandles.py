@@ -1,4 +1,5 @@
 import copy
+import inspect
 import itertools
 import json
 import pickle
@@ -461,10 +462,13 @@ def test_records_are_immutable_values(cls, fields, defaults):
     record = cls(*values)
     assert [getattr(record, name) for name in fields] == values
     assert cls(**dict(zip(fields, field_values(fields)))) == record
+    parameters = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.kind) for p in parameters] == [(name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for name in fields]
+    assert {p.name: p.default for p in parameters if p.default is not p.empty} == defaults
     required = [name for name in fields if name not in defaults]
     short = cls(*field_values(required))
     assert [getattr(short, name) for name in fields[len(required):]] == list(defaults.values())
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^%s\.__init__\(\) missing" % cls.__name__):
         cls(*field_values(required)[:-1])
     with pytest.raises(TypeError):
         cls(*values, unknown=1)
