@@ -3,8 +3,9 @@ with a persistent catalog, Delta-filtration reports, isomorphism checks,
 decomposition reports, and a golden verification suite.
 
 Exit codes: 0 success, 2 bad parameters, 3 parse error, 4 axiom
-violation, 5 capacity exceeded.  With --json all stdout is one JSON
-document; the "outputs" section is deterministic for fixed inputs.
+violation, 5 capacity exceeded (`EXITS`).  With --json, which every
+command but `make` takes, all stdout is one JSON document; the "outputs"
+section is deterministic for fixed inputs.
 """
 
 import argparse
@@ -36,14 +37,7 @@ from .dihedral import (
     verify_product_formulas,
 )
 from .domains import GF, QQ, ZZ
-from .errors import (
-    AxiomViolationError,
-    CapacityError,
-    DimensionMismatchError,
-    GroupAxiomError,
-    MalformedTableError,
-    QuandleKitError,
-)
+from .errors import AxiomViolationError, CapacityError, MalformedTableError, QuandleKitError
 from .lattices import verify_simple_decomposition
 from .quandles import (
     Quandle,
@@ -86,6 +80,14 @@ EXIT_BAD_PARAMS = 2
 EXIT_PARSE = 3
 EXIT_AXIOM = 4
 EXIT_CAPACITY = 5
+
+# error class -> (stderr label, exit code); `main` takes the first class that matches
+EXITS = {
+    MalformedTableError: ("parse error", EXIT_PARSE),
+    AxiomViolationError: ("axiom violation", EXIT_AXIOM),
+    CapacityError: ("capacity exceeded", EXIT_CAPACITY),
+    QuandleKitError: ("bad parameters", EXIT_BAD_PARAMS),
+}
 
 CATALOG_ENV = "QUANDLEKIT_CATALOG"
 
@@ -198,11 +200,10 @@ def _read_json(path):
 
 @contextmanager
 def _naming(path):
-    """Put path in front of a MalformedTableError, AxiomViolationError,
-    GroupAxiomError or DimensionMismatchError raised inside the block."""
+    """Put path in front of the message of an error raised inside the block."""
     try:
         yield
-    except (MalformedTableError, AxiomViolationError, GroupAxiomError, DimensionMismatchError) as exc:
+    except QuandleKitError as exc:
         exc.args = ("%s: %s" % (path, exc),)  # keeps the code or violations it carries
         raise
 
@@ -242,7 +243,7 @@ def _int_param(text):
 
 
 def _emit(args, payload, text_lines):
-    if getattr(args, "json", False):
+    if args.json:
         doc = {
             "command": args.command,
             "version": __version__,
@@ -254,38 +255,23 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-# family -> (number of parameters, what they are)
-MAKE_PARAMS = {
-    "trivial": (1, "n"),
-    "dihedral": (1, "n"),
-    "alexander": (2, "n and t"),
-    "conj": (1, "a Cayley table file"),
-    "core": (1, "a Cayley table file"),
-    "union": (2, "two quandle files"),
-    "table": (1, "a quandle file"),
+# family -> (number of parameters, what they are, the builder taking them)
+MAKE = {
+    "trivial": (1, "n", lambda n: trivial_quandle(_int_param(n))),
+    "dihedral": (1, "n", lambda n: dihedral_quandle(_int_param(n))),
+    "alexander": (2, "n and t", lambda n, t: alexander_quandle(_int_param(n), _int_param(t))),
+    "conj": (1, "a Cayley table file", lambda path: _from_cayley(path, conjugation_quandle)),
+    "core": (1, "a Cayley table file", lambda path: _from_cayley(path, core_quandle)),
+    "union": (2, "two quandle files", lambda x, y: disjoint_union(load_quandle(x), load_quandle(y))),
+    "table": (1, "a quandle file", load_quandle),
 }
 
 
 def cmd_make(args):
-    fam = args.family
-    count, what = MAKE_PARAMS[fam]
+    count, what, build = MAKE[args.family]
     if len(args.params) != count:
-        raise QuandleKitError("%s needs %s, got %d parameter(s)" % (fam, what, len(args.params)))
-    if fam == "trivial":
-        q = trivial_quandle(_int_param(args.params[0]))
-    elif fam == "dihedral":
-        q = dihedral_quandle(_int_param(args.params[0]))
-    elif fam == "alexander":
-        q = alexander_quandle(_int_param(args.params[0]), _int_param(args.params[1]))
-    elif fam == "conj":
-        q = _from_cayley(args.params[0], conjugation_quandle)
-    elif fam == "core":
-        q = _from_cayley(args.params[0], core_quandle)
-    elif fam == "union":
-        q = disjoint_union(load_quandle(args.params[0]), load_quandle(args.params[1]))
-    else:
-        q = load_quandle(args.params[0])
-    text = dumps(q)
+        raise QuandleKitError("%s needs %s, got %d parameter(s)" % (args.family, what, len(args.params)))
+    text = dumps(build(*args.params))
     if args.output and args.output != "-":
         _write(args.output, "w", text + "\n")
     else:
@@ -342,12 +328,6 @@ def cmd_check(args):
     return EXIT_OK
 
 
-def _catalog_path(args):
-    if args.catalog:
-        return args.catalog
-    return os.environ.get(CATALOG_ENV)
-
-
 def _write(path, mode, text):
     """Write text to the file at path; an unusable path is bad parameters."""
     try:
@@ -362,8 +342,10 @@ def _append_catalog(path, quandles, flags):
     (right2t, left2t) pair from flags; returns how many were added.
 
     Every new line is built before the file is touched, and all of them
-    go out in one write."""
+    go out in one write, which starts a line of its own when the file's
+    text does not end in one."""
     seen = set()
+    lines = []
     if os.path.exists(path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -394,7 +376,8 @@ def _append_catalog(path, quandles, flags):
             "qp": quandle_polynomial(q).to_json(),
         }
         new.append(json.dumps(entry, sort_keys=True) + "\n")
-    _write(path, "a", "".join(new))
+    glue = "\n" if lines and not lines[-1].endswith("\n") else ""
+    _write(path, "a", glue + "".join(new))
     return len(new)
 
 
@@ -410,17 +393,11 @@ def _census(n, bound=DEFAULT_ENUM_BOUND):
 def cmd_enumerate(args):
     qs, flags, (classes, right2t, left2t) = _census(args.n, args.bound)
     counts = {"n": args.n, "classes": classes, "right2t": right2t, "left2t": left2t}
-    path = _catalog_path(args)
+    path = args.catalog or os.environ.get(CATALOG_ENV)
     if path:
         counts["catalog_added"] = _append_catalog(path, qs, flags)
-    _emit(
-        args,
-        counts,
-        [
-            "n = %d: %d classes, %d right 2-transitive, %d left 2-transitive"
-            % (args.n, counts["classes"], counts["right2t"], counts["left2t"])
-        ],
-    )
+    line = "n = %d: %d classes, %d right 2-transitive, %d left 2-transitive" % (args.n, classes, right2t, left2t)
+    _emit(args, counts, [line])
     return EXIT_OK
 
 
@@ -428,33 +405,18 @@ def cmd_power_assoc(args):
     q = load_quandle(args.file)
     domain = parse_domain(args.domain)
     witness = power_assoc_witness(q, domain)
-    box = list(DEFAULT_WITNESS_BOX)
-    if witness is None:
-        payload = {"witness": None, "domain": repr(domain), "box": box}
-        # Albert's reduction to the two identities needs characteristic 0
-        _emit(args, payload, ["power associative" if domain.char == 0 else "both Albert identities hold"])
-    else:
-        payload = {
-            "witness": {
-                "element": [domain.to_json(c) for c in witness.element],
-                "identity": witness.identity,
-                "lhs": [domain.to_json(c) for c in witness.lhs],
-                "rhs": [domain.to_json(c) for c in witness.rhs],
-            },
-            "domain": repr(domain),
-            "box": box,
-        }
-        _emit(
-            args,
-            payload,
-            [
-                "not power associative: %s identity fails" % witness.identity,
-                # str: a rational as its p/q, an integer without "/1"
-                "element: (%s)" % ", ".join(map(str, witness.element)),
-                "lhs: (%s)" % ", ".join(map(str, witness.lhs)),
-                "rhs: (%s)" % ", ".join(map(str, witness.rhs)),
-            ],
-        )
+    payload = {"witness": None, "domain": repr(domain), "box": list(DEFAULT_WITNESS_BOX)}
+    # Albert's reduction to the two identities needs characteristic 0
+    lines = ["power associative" if domain.char == 0 else "both Albert identities hold"]
+    if witness is not None:
+        vectors = {"element": witness.element, "lhs": witness.lhs, "rhs": witness.rhs}
+        payload["witness"] = {"identity": witness.identity}
+        lines = ["not power associative: %s identity fails" % witness.identity]
+        for key, vector in vectors.items():
+            payload["witness"][key] = [domain.to_json(c) for c in vector]
+            # str: a rational as its p/q, an integer without "/1"
+            lines.append("%s: (%s)" % (key, ", ".join(map(str, vector))))
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -463,9 +425,10 @@ def cmd_delta(args):
         raise QuandleKitError("specify --dihedral N (general tables: use the API)")
     n = args.dihedral
     shapes = delta_series_shapes(n, args.kmax)
-    records = []
+    records, lines = [], []
     for variant in [args.variant] if args.variant else DELTA_LABELS:
         for k, shape in enumerate(shapes, start=1):
+            exploratory = n % 2 == 0 and k >= 2
             records.append(
                 {
                     "n": n,
@@ -473,15 +436,10 @@ def cmd_delta(args):
                     "shape": shape.to_json(),
                     "shape_str": str(shape),
                     "variant": variant,
-                    "exploratory": n % 2 == 0 and k >= 2,
+                    "exploratory": exploratory,
                 }
             )
-    lines = []
-    for r in records:
-        note = "  (exploratory)" if r["exploratory"] else ""
-        lines.append(
-            "n=%d k=%d [%s]: %s%s" % (r["n"], r["k"], r["variant"], r["shape_str"], note)
-        )
+            lines.append("n=%d k=%d [%s]: %s%s" % (n, k, variant, shape, "  (exploratory)" if exploratory else ""))
     _emit(args, records, lines)
     return EXIT_OK
 
@@ -601,26 +559,20 @@ def _zero_columns(p):
 
 
 def cmd_verify(args):
-    results = []
-    failures = 0
+    results, lines = [], []
     for name, actual, expected in _verify_checks():
         ok = actual == expected
-        if not ok:
-            failures += 1
         results.append({"check": name, "ok": ok})
-        if not args.json:
-            print("%s %s" % ("PASS" if ok else "FAIL", name))
-            if not ok:
-                print("  expected: %r" % (expected,))
-                print("  actual:   %r" % (actual,))
+        lines.append("%s %s" % ("PASS" if ok else "FAIL", name))
+        if not ok:
+            lines += ["  expected: %r" % (expected,), "  actual:   %r" % (actual,)]
+    failures = sum(not r["ok"] for r in results)
     # p = 3 sits outside the advertised pattern for the zero-column counts;
     # report the observed values without asserting them.
     p3 = dict(zip(("trivial3", "two_orbit3", "dihedral3"), _zero_columns(3)))
-    if args.json:
-        _emit(args, {"results": results, "failures": failures, "zero_columns_p3": p3}, [])
-    else:
-        print("zero columns at p=3 (reported, not asserted): %s" % json.dumps(p3, sort_keys=True))
-        print("%d checks, %d failures" % (len(results), failures))
+    lines.append("zero columns at p=3 (reported, not asserted): %s" % json.dumps(p3, sort_keys=True))
+    lines.append("%d checks, %d failures" % (len(results), failures))
+    _emit(args, {"results": results, "failures": failures, "zero_columns_p3": p3}, lines)
     return EXIT_OK if failures == 0 else 1
 
 
@@ -634,34 +586,30 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make", help="construct a quandle and write its JSON")
-    p.add_argument("family", choices=list(MAKE_PARAMS))
+    p.add_argument("family", choices=list(MAKE))
     p.add_argument("params", nargs="+")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_make)
 
     p = sub.add_parser("check", help="validate a table and print its invariants")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("enumerate", help="isomorphism classes of a given order")
     p.add_argument("n", type=int)
     p.add_argument("--bound", type=int, default=DEFAULT_ENUM_BOUND)
     p.add_argument("--catalog", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("power-assoc", help="decide power-associativity, with a witness when it fails")
     p.add_argument("file")
     p.add_argument("--domain", default="Q")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_power_assoc)
 
     p = sub.add_parser("delta", help="successive augmentation-power quotients")
     p.add_argument("--dihedral", type=int, default=None)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--variant", choices=DELTA_LABELS, help="print only this label (both carry the same shapes)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("iso", help="quandle and quandle-ring isomorphism checks")
@@ -677,40 +625,31 @@ def build_parser():
         "isomorphism search, the scan charging p^(n-1) between quandle rings and p^n - 1 otherwise; "
         "exit 5 beyond it (default %d)" % DEFAULT_ISO_BUDGET,
     )
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("decompose", help="orbit summand decomposition report")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--domain", default=None, help="the field of a table file's ring (default F5)")
     p.add_argument("--complex-dihedral", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="run the golden verification suite")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
+    for name, p in sub.choices.items():
+        if name != "make":  # make writes the quandle's own JSON
+            p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MalformedTableError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    except AxiomViolationError as exc:
-        print("axiom violation: %s" % exc, file=sys.stderr)
-        return EXIT_AXIOM
-    except CapacityError as exc:
-        print("capacity exceeded: %s" % exc, file=sys.stderr)
-        return EXIT_CAPACITY
     except QuandleKitError as exc:
-        print("bad parameters: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        label, code = next(EXITS[cls] for cls in EXITS if isinstance(exc, cls))
+        print("%s: %s" % (label, exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -294,24 +294,18 @@ def quotient_shape(a, b):
     return AbelianGroupShape(free_rank=free_rank, torsion=torsion)
 
 
-def _generated_ideal(ring, generators, side):
-    """Smallest submodule containing the generators and closed under
-    multiplication by every basis element on the given side ("right" or
-    "left"), by one spin-up.
-
-    v * e_j moves coordinate i of v to table[i][j], along column j of the
-    table, and e_j * v moves it to table[j][i], along row j.
-    """
-    moves = tuple(zip(*ring.table)) if side == "right" else ring.table
+def generated_right_ideal(ring, generators):
+    """Smallest submodule containing the generators and closed under right
+    multiplication by every basis element, by one spin-up: v * e_j moves
+    coordinate i of v to table[i][j], along column j of the table."""
+    moves = tuple(zip(*ring.table))
     return Submodule(ambient_dim=ring.dim, domain=ring.domain, basis=_spin(ring.domain, generators, moves))
 
 
-def generated_right_ideal(ring, generators):
-    return _generated_ideal(ring, generators, "right")
-
-
 def generated_left_ideal(ring, generators):
-    return _generated_ideal(ring, generators, "left")
+    """The same on the left: e_j * v moves coordinate i of v to
+    table[j][i], along row j."""
+    return Submodule(ambient_dim=ring.dim, domain=ring.domain, basis=_spin(ring.domain, generators, ring.table))
 
 
 def orbit_summands(x, domain):

@@ -24,7 +24,6 @@ AXIOM_IDEMPOTENCE = "I"
 AXIOM_RIGHT_INVERTIBLE = "II"
 AXIOM_SELF_DISTRIBUTIVE = "III"
 MAX_WITNESSES = 10  # reported per axiom
-SCAN_MAX_N = 8  # up to this order the n^3 scan of axiom III is cheaper than finding generators
 
 
 class ValidationReport(Record):
@@ -58,8 +57,9 @@ def validate_table(n, table):
     """Check the three quandle axioms, reporting the first MAX_WITNESSES
     witnesses of each in lexicographic order.
 
-    Above SCAN_MAX_N, once every column is onto, axiom III is decided at
-    the k of `generating_set`, and the n^3 scan runs only if that fails.
+    Once every column is onto, axiom III is decided at the distinct
+    columns R_k, k in `generating_set` (`inner_moves`), and the n^3 scan
+    runs only if that fails.
 
     Raises MalformedTableError for structurally broken input; axiom
     violations are reported, not raised.
@@ -73,10 +73,11 @@ def _axiom_report(x):
     n, table = x.n, x.table
     not_onto = [(j,) for j, column in enumerate(zip(*table)) if len(set(column)) != n]
     # The k whose R_k respects > are closed under >, as R_(a>b) = R_b R_a R_b^-1
-    # when R_b is an automorphism; so they are all of X if they hold its generators.
-    scan = not_onto or n <= SCAN_MAX_N or not all(
+    # when R_b is an automorphism; so they are all of X if they hold its generators,
+    # whose distinct non-identity columns are `inner_moves`.
+    scan = not_onto or not all(
         [r[v] for v in row] == [table[r[i]][v] for v in r]  # R_k(i > j) = R_k(i) > R_k(j)
-        for r in ([row[k] for row in table] for k in generating_set(x))
+        for r in inner_moves(x)
         for i, row in enumerate(table)
     )
     scans = (
@@ -103,7 +104,7 @@ def _axiom_report(x):
 def _checked(n, table):
     """The Quandle of an n x n table: MalformedTableError for a broken
     shape, AxiomViolationError carrying every reported witness otherwise.
-    The generators found in checking stay cached on the quandle."""
+    The generators and moves found in checking stay cached on the quandle."""
     _check_shape(n, table)
     x = Quandle(n, tuple(tuple(row) for row in table))
     report = _axiom_report(x)
@@ -293,8 +294,9 @@ def inner_moves(x):
     """The distinct non-identity columns R_a, a in `generating_set(x)`, as
     a tuple: they generate Inn(X), so closure or transitivity under these
     moves is closure or transitivity under every R_j."""
-    columns = (tuple(row[a] for row in x.table) for a in generating_set(x))
-    return tuple(m for m in dict.fromkeys(columns) if m != tuple(range(x.n)))
+    columns = tuple(zip(*x.table))
+    identity = tuple(range(x.n))
+    return tuple(m for m in dict.fromkeys(columns[a] for a in generating_set(x)) if m != identity)
 
 
 def right_translation(x, j):

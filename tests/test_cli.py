@@ -368,6 +368,16 @@ def test_enumerate_catalog_batch_is_atomic(tmp_path, capsys, monkeypatch):
     assert catalog.read_bytes() == before
 
 
+def test_enumerate_catalog_appends_after_a_last_line_without_newline(tmp_path, capsys):
+    catalog = tmp_path / "catalog.jsonl"
+    assert run(capsys, "enumerate", "1", "--catalog", str(catalog))[0] == 0
+    catalog.write_text(catalog.read_text().rstrip("\n"))
+    for n in (2, 3):
+        assert run(capsys, "enumerate", str(n), "--catalog", str(catalog))[0] == 0
+    entries = [json.loads(line) for line in catalog.read_text().splitlines()]
+    assert [e["n"] for e in entries] == [1, 2, 3, 3, 3]
+
+
 def test_enumerate_catalog_line_not_json(tmp_path, capsys):
     catalog = tmp_path / "catalog.jsonl"
     catalog.write_text('{"n": 1, "table": [[0]]}\n{not json\n')

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandlekit.cli import EXPECTED
 from quandlekit.dihedral import (
     ComplexDecompositionReport,
     ComplexSummand,
@@ -37,66 +38,10 @@ def e_basis_table(n):
     return tuple(tuple(e_product(n, i, j) for j in range(1, n)) for i in range(1, n))
 
 
-REFERENCE_CELLS_N8 = {
-    (1, 2): ((3, 1), (4, -1), (7, -1)),
-    (1, 4): (),
-    (2, 1): ((2, -1), (6, -1)),
-    (2, 2): ((2, 1), (4, -1), (6, -1)),
-    (2, 3): ((4, 1), (6, -2)),
-    (2, 4): (),
-    (2, 5): ((2, -1), (6, -1)),
-    (2, 7): ((4, 1), (6, -2)),
-    (3, 2): ((1, 1), (4, -1), (5, -1)),
-    (3, 4): (),
-    (4, 2): ((4, -2),),
-    (4, 4): (),
-    (4, 6): ((4, -2),),
-    (5, 2): ((3, -1), (4, -1), (7, 1)),
-    (5, 4): (),
-    (6, 1): ((2, -2), (4, 1)),
-    (6, 2): ((2, -1), (4, -1), (6, 1)),
-    (6, 3): ((2, -1), (6, -1)),
-    (6, 4): (),
-    (6, 5): ((2, -2), (4, 1)),
-    (6, 7): ((2, -1), (6, -1)),
-    (7, 2): ((1, -1), (4, -1), (5, 1)),
-    (7, 4): (),
-}
-
-REFERENCE_CELLS_N10 = {
-    (1, 1): ((1, 1), (2, -1), (9, -1)),
-    (1, 5): (),
-    (2, 1): ((2, -1), (8, -1)),
-    (2, 4): ((6, 1), (8, -2)),
-    (2, 5): (),
-    (2, 6): ((2, -1), (8, -1)),
-    (2, 9): ((6, 1), (8, -2)),
-    (3, 1): ((2, -1), (7, -1), (9, 1)),
-    (3, 5): (),
-    (4, 1): ((2, -1), (6, -1), (8, 1)),
-    (4, 2): ((4, -1), (6, -1)),
-    (4, 3): ((2, 1), (6, -2)),
-    (4, 5): (),
-    (4, 7): ((4, -1), (6, -1)),
-    (4, 8): ((2, 1), (6, -2)),
-    (5, 1): ((2, -1), (5, -1), (7, 1)),
-    (5, 5): (),
-    (6, 1): ((2, -1), (4, -1), (6, 1)),
-    (6, 2): ((4, -2), (8, 1)),
-    (6, 3): ((4, -1), (6, -1)),
-    (6, 5): (),
-    (6, 7): ((4, -2), (8, 1)),
-    (6, 8): ((4, -1), (6, -1)),
-    (7, 1): ((2, -1), (3, -1), (5, 1)),
-    (7, 5): (),
-    (8, 1): ((2, -2), (4, 1)),
-    (8, 4): ((2, -1), (8, -1)),
-    (8, 5): (),
-    (8, 6): ((2, -2), (4, 1)),
-    (8, 9): ((2, -1), (8, -1)),
-    (9, 1): ((1, -1), (2, -1), (3, 1)),
-    (9, 5): (),
-}
+def reference_cells(n):
+    """The paper's product-table cells of R_n that `verify` checks, as
+    (i, j) -> tuple of (index, coeff)."""
+    return {(i, j): pairs for (m, i, j), pairs in EXPECTED["product_cells"].items() if m == n}
 
 
 def test_e_expr_reduces_indices():
@@ -131,12 +76,16 @@ def test_diagonal_products():
 
 
 def test_reference_cells_n8():
-    for (i, j), pairs in REFERENCE_CELLS_N8.items():
+    cells = reference_cells(8)
+    assert len(cells) == 23
+    for (i, j), pairs in cells.items():
         assert e_product(8, i, j) == e_expr(8, list(pairs)), (i, j)
 
 
 def test_reference_cells_n10():
-    for (i, j), pairs in REFERENCE_CELLS_N10.items():
+    cells = reference_cells(10)
+    assert len(cells) == 32
+    for (i, j), pairs in cells.items():
         assert e_product(10, i, j) == e_expr(10, list(pairs)), (i, j)
 
 

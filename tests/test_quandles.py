@@ -254,12 +254,12 @@ def oracle_validate(n, table):
     return not violations, violations
 
 
-def validation_cases():
-    """Each class of order <= 6 and some quandles above SCAN_MAX_N under a
-    seeded relabeling, each with ten pairs of mutants: two entries of one
-    column swapped, so that axiom II still holds, and one entry changed,
-    so that it fails."""
-    rng = random.Random(20231019)
+def validation_cases(seed):
+    """Each class of order <= 6 and some quandles up to order 25 under a
+    relabeling drawn from seed, each with ten pairs of mutants: two entries
+    of one column swapped, so that axiom II still holds, and one entry
+    changed, so that it fails."""
+    rng = random.Random(seed)
     bases = [q for n in range(1, 7) for q in enumerate_quandles(n)]
     bases += [dihedral_quandle(n) for n in (9, 12, 15)]
     bases += [alexander_quandle(n, t) for n, t in ((11, 2), (16, 3), (25, 2))]
@@ -283,13 +283,12 @@ def validation_cases():
             yield "change", changed
 
 
-@pytest.mark.parametrize("scan_max_n", [quandles.SCAN_MAX_N, 0])
-def test_validation_matches_the_full_scan(monkeypatch, scan_max_n):
-    # with SCAN_MAX_N = 0 every table whose columns are onto is first
-    # checked at its generators
-    monkeypatch.setattr(quandles, "SCAN_MAX_N", scan_max_n)
+@pytest.mark.parametrize("draw", [8, 0])
+def test_validation_matches_the_full_scan(draw):
+    # every table whose columns are onto is first checked at its generators;
+    # draw 0 is the seed of the original cases, draw 8 a second relabeling
     tally = {}
-    for kind, table in validation_cases():
+    for kind, table in validation_cases(20231019 + draw):
         report = validate_table(len(table), table)
         assert (report.ok, report.violations) == oracle_validate(len(table), table), table
         axioms = tuple(sorted({axiom for axiom, _ in report.violations}))
@@ -305,25 +304,30 @@ def test_validation_matches_the_full_scan(monkeypatch, scan_max_n):
 @given(st.integers(1, 10).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=n, max_size=n)))
 def test_validation_of_tables_with_bijective_columns(columns):
     table = [list(row) for row in zip(*columns)]
-    want = oracle_validate(len(table), table)
-    for scan_max_n in (quandles.SCAN_MAX_N, 0):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(quandles, "SCAN_MAX_N", scan_max_n)
-            report = validate_table(len(table), table)
-        assert (report.ok, report.violations) == want
+    report = validate_table(len(table), table)
+    assert (report.ok, report.violations) == oracle_validate(len(table), table)
 
 
-@pytest.mark.parametrize("scan_max_n", [quandles.SCAN_MAX_N, 0])
-def test_validation_of_every_table_up_to_order_3(monkeypatch, scan_max_n):
+@pytest.mark.parametrize("seed", [8, 0])
+def test_validation_of_every_table_up_to_order_3(seed):
     # a column that is not onto voids the argument for generators: 199 of
     # the 3 x 3 tables keep axiom III at their generators and break it
-    # elsewhere, so they must still get the scan
-    monkeypatch.setattr(quandles, "SCAN_MAX_N", scan_max_n)
+    # elsewhere, so they must still get the scan. Each table is validated
+    # under one seeded relabeling per order, a bijection on the tables of
+    # that order, which must break the same axioms as the table itself.
+    rng = random.Random(seed)
     for n in (1, 2, 3):
+        sigma = rng.sample(range(n), n)
         for flat in itertools.product(range(n), repeat=n * n):
             table = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-            report = validate_table(n, table)
-            assert (report.ok, report.violations) == oracle_validate(n, table), table
+            moved = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    moved[sigma[i]][sigma[j]] = sigma[table[i][j]]
+            report = validate_table(n, moved)
+            assert (report.ok, report.violations) == oracle_validate(n, moved), moved
+            broken = {axiom for axiom, _ in report.violations}
+            assert broken == {axiom for axiom, _ in oracle_validate(n, table)[1]}, table
 
 
 def oracle_generating_set(x):
@@ -350,9 +354,9 @@ def test_generating_set_matches_the_pair_closure():
         assert generating_set(q) == oracle_generating_set(q), q.table
 
 
-def test_validation_of_relabeled_bases_with_a_swapped_column_entry(monkeypatch):
+def test_validation_of_relabeled_bases_with_a_swapped_column_entry():
     # two entries of one column swapped, so every column stays onto and
-    # tables above SCAN_MAX_N are first checked at their generators
+    # each table is first checked at its generators
     rng = random.Random(2902)
     verdicts = []
     for q in translation_bases():
@@ -363,10 +367,8 @@ def test_validation_of_relabeled_bases_with_a_swapped_column_entry(monkeypatch):
             j, (a, b) = rng.randrange(n), rng.sample(range(n), 2)
             swapped[a][j], swapped[b][j] = swapped[b][j], swapped[a][j]
             want = oracle_validate(n, swapped)
-            for scan_max_n in (quandles.SCAN_MAX_N, 0):
-                monkeypatch.setattr(quandles, "SCAN_MAX_N", scan_max_n)
-                report = validate_table(n, swapped)
-                assert (report.ok, report.violations) == want, swapped
+            report = validate_table(n, swapped)
+            assert (report.ok, report.violations) == want, swapped
             verdicts.append(tuple(sorted({axiom for axiom, _ in want[1]})))
     assert verdicts.count(("III",)) > 200
 
