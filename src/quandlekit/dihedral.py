@@ -12,8 +12,8 @@ import itertools
 from ._record import Record
 from .domains import GF, ZZ, _is_prime
 from .errors import PreconditionError, QuandleKitError
-from .lattices import _spin, delta_powers, delta_quotients, span
-from .linalg import hnf_solve, rref
+from .lattices import delta_powers, delta_quotients, span
+from .linalg import rref, spin
 from .quandles import dihedral_quandle, inner_moves, orbits
 
 
@@ -153,7 +153,7 @@ def star_relations_check(n):
         raise PreconditionError("needs even n >= 4")
     delta2 = delta_powers(dihedral_quandle(n), ZZ, 2)[1]
     exprs = [e_expr(n, [(l, 1), (2, -(l // 2))] + ([(1, -1)] if l % 2 else [])) for l in range(2, n)]
-    return None not in hnf_solve(delta2.basis, map(e_to_vector, exprs))
+    return delta2.contains(*map(e_to_vector, exprs))
 
 
 def odd_relations_check(n):
@@ -163,7 +163,7 @@ def odd_relations_check(n):
     delta2 = delta_powers(dihedral_quandle(n), ZZ, 2)[1]
     exprs = [e_expr(n, [(2 * i, 1), (n - 2 * i, 1)]) for i in range(1, (n - 1) // 2 + 1)]
     exprs += [e_expr(n, [(k, 1), (1, -k)]) for k in range(2, n)] + [e_expr(n, [(1, n)])]
-    return None not in hnf_solve(delta2.basis, map(e_to_vector, exprs))
+    return delta2.contains(*map(e_to_vector, exprs))
 
 
 class ComplexSummand(Record):
@@ -203,7 +203,7 @@ def _summand_check(domain, moves, rows):
     from .meataxe import _irreducible  # loaded on first use, as in lattices
 
     sub = span(len(rows[0]), domain, rows)
-    invariant = _spin(domain, rows, moves) == sub.basis
+    invariant = spin(domain, rows, moves) == sub.basis
     return sub.rank, invariant, invariant and _irreducible(domain, moves, sub)[0]
 
 

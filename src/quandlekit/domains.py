@@ -5,8 +5,10 @@ and prime fields (F_p).  Elements are plain Python numbers: int,
 Fraction, and int in [0, p).  Arithmetic on them is plain Python
 arithmetic; a domain only reads values in (``coerce``, ``from_json``),
 writes them out (``to_json``), and brings a row of sums and products
-back to normal form (``reduce``), which over F_p is the one place the
-mod-p rule lives.
+back to normal form (``reduce``).  The kernels that run over F_p alone
+take residues mod p inline instead: ``FieldEchelon.insert``, the
+multiplication matrices and the epsilon-slice scan in ``rings``, and all
+of ``meataxe``.
 """
 
 import re
@@ -87,7 +89,6 @@ class PrimeField(Domain):
         if not _is_prime(p):
             raise QuandleKitError("modulus %r is not prime" % (p,))
         self.p = p
-        self.kind = "Zp"
         self.char = p
         self.zero = 0
         self.one = 1 % p

@@ -10,8 +10,8 @@ coordinate i to i > j, so for a quandle ring it permutes them by R_j,
 and a right ideal is a subspace closed under these permutations.  Each
 R_j is a quandle automorphism, so v -> v * e_j is a ring automorphism
 that keeps the augmentation, and every power Delta^k of the augmentation
-ideal is closed under Inn(X).  Ideals are spun up (``_spin``) afresh on
-every call, with no cache.  Delta^1 is the augmentation basis itself, and
+ideal is closed under Inn(X).  Ideals are spun up (``linalg.spin``) afresh
+on every call, with no cache.  Delta^1 is the augmentation basis itself, and
 each Delta^(k+1) is spun up from the (d - 1) b, d a displacement
 R_s0^-1 R_s of two generators and b a basis row of Delta^k, with no ring
 multiplication; when a single displacement generates a normal subgroup
@@ -32,14 +32,7 @@ from .errors import (
     NonSplitError,
     PreconditionError,
 )
-from .linalg import (
-    echelon,
-    hermite_normal_form,
-    hnf_solve,
-    lattice_contains,
-    rref,
-    smith_normal_form,
-)
+from .linalg import echelon, hermite_normal_form, hnf_solve, rref, smith_normal_form, spin
 from .quandles import generating_set, inner_moves, orbits, right_translation
 from .rings import multiply
 from .symmetry import reaches_every_pair, restricted_action
@@ -51,32 +44,31 @@ class Submodule(Record):
     def rank(self):
         return len(self.basis)
 
-    def contains(self, v):
-        if len(v) != self.ambient_dim:
+    def contains(self, *vectors):
+        """Whether every vector lies in the submodule: over Z one solve of
+        them all in the HNF, over a field one echelon of the basis that
+        they go into until one grows it."""
+        if any(len(v) != self.ambient_dim for v in vectors):
             raise DomainMismatchError("vector length does not match ambient dimension")
         if self.domain is ZZ:
-            return lattice_contains(self.basis, v)
+            return None not in hnf_solve(self.basis, vectors)
         form = echelon(self.domain)
         form.extend(self.basis)
-        return not form.insert(v)
+        return not any(form.insert(v) for v in vectors)
 
 
 def span(ambient_dim, domain, rows):
     """Submodule spanned by arbitrary generator rows."""
+    rows = list(rows)
+    if any(len(row) != ambient_dim for row in rows):
+        raise DomainMismatchError("row length does not match ambient dimension")
     basis = hermite_normal_form(rows) if domain is ZZ else rref(rows, domain)
     return Submodule(ambient_dim=ambient_dim, domain=domain, basis=tuple(basis))
 
 
 def submodule_leq(a, b):
-    """a contained in b: over Z one solve of a's rows in b's HNF, over a
-    field one echelon of b that a's rows go into until one grows it."""
-    if a.basis and a.ambient_dim != b.ambient_dim:
-        raise DomainMismatchError("vector length does not match ambient dimension")
-    if b.domain is ZZ:
-        return None not in hnf_solve(b.basis, a.basis)
-    form = echelon(b.domain)
-    form.extend(b.basis)
-    return not any(form.insert(v) for v in a.basis)
+    """a contained in b."""
+    return b.contains(*a.basis)
 
 
 def augmentation_ideal(x, domain):
@@ -96,28 +88,6 @@ def submodule_product(ring, a, b):
         raise DomainMismatchError("submodules do not live in the given ring")
     rows = (multiply(ring, u, v) for u in a.basis for v in b.basis)
     return span(ring.dim, ring.domain, rows)
-
-
-def _spin(domain, seeds, moves):
-    """Reduced basis of the smallest submodule holding the seeds and closed
-    under the linear moves; a move scatters coordinate i to move[i], index
-    -1 (a spare slot) taking zero products.  Only rows that grew the span
-    have their images inserted."""
-    form = echelon(domain)
-    for seed in seeds:
-        if not form.insert(seed):
-            continue
-        stack = [seed]
-        while stack:
-            v = stack.pop()
-            for move in moves:
-                w = [domain.zero] * (len(v) + 1)
-                for vi, k in zip(v, move):
-                    w[k] += vi
-                w.pop()
-                if form.insert(w):
-                    stack.append(w)
-    return tuple(form.rows())
 
 
 def _displacements(x):
@@ -176,7 +146,7 @@ def _delta_chain(x, domain):
         # whose rows it leaves alone (R_3..R_32 to Delta^4: 4,479 row
         # reductions in the HNF against 22,319 first pivot first)
         seeds = ([b[d[j]] - b[j] for j in range(x.n)] for d in shifts for b in reversed(basis))
-        basis = _spin(domain, seeds, () if principal else moves)
+        basis = spin(domain, seeds, () if principal else moves)
 
 
 def delta_powers(x, domain, k_max):
@@ -282,7 +252,7 @@ def quotient_shape(a, b):
     if a.ambient_dim != b.ambient_dim or a.domain is not b.domain:
         raise DomainMismatchError("quotient needs matching ambient space")
     if a.domain is not ZZ:
-        if not submodule_leq(b, a):
+        if not a.contains(*b.basis):
             raise ContainmentError("denominator is not contained in numerator")
         return AbelianGroupShape(free_rank=a.rank - b.rank, torsion=())
     relations = hnf_solve(a.basis, b.basis)
@@ -299,13 +269,13 @@ def generated_right_ideal(ring, generators):
     multiplication by every basis element, by one spin-up: v * e_j moves
     coordinate i of v to table[i][j], along column j of the table."""
     moves = tuple(zip(*ring.table))
-    return Submodule(ambient_dim=ring.dim, domain=ring.domain, basis=_spin(ring.domain, generators, moves))
+    return Submodule(ambient_dim=ring.dim, domain=ring.domain, basis=spin(ring.domain, generators, moves))
 
 
 def generated_left_ideal(ring, generators):
     """The same on the left: e_j * v moves coordinate i of v to
     table[j][i], along row j."""
-    return Submodule(ambient_dim=ring.dim, domain=ring.domain, basis=_spin(ring.domain, generators, ring.table))
+    return Submodule(ambient_dim=ring.dim, domain=ring.domain, basis=spin(ring.domain, generators, ring.table))
 
 
 def orbit_summands(x, domain):

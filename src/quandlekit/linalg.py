@@ -1,11 +1,13 @@
 """Exact linear algebra: the integer Hermite normal form (HNF), the Smith
-invariant factors, and row reduction over Q or F_p, in plain Python
-arithmetic on ints and Fractions.
+invariant factors, row reduction over Q or F_p, left kernels, and the
+spin-up of a submodule under coordinate moves, in plain Python arithmetic
+on ints and Fractions.
 
 Both reduced forms are built one row at a time by an echelon form whose
-``insert`` reports whether the span grew.  The integer HNF stays reduced
-after every change, each row's entries at the later pivots in [0, pivot),
-which keeps intermediate entries from swelling.  Its pivot columns are kept
+``insert`` reports whether the span grew, and ``spin`` moves only the rows
+that grew it.  The integer HNF stays reduced after every change, each
+row's entries at the later pivots in [0, pivot), which keeps intermediate
+entries from swelling.  Its pivot columns are kept
 in one ascending list, so each reduction walks only the pivots it needs;
 ``hnf_solve`` finds the pivots of a basis once and walks each vector right
 from one pivot to the next.  The Smith form splits off each +-1 entry as a
@@ -168,10 +170,6 @@ def hnf_coordinates(hnf_rows, v):
     return hnf_solve(hnf_rows, [v])[0]
 
 
-def lattice_contains(hnf_rows, v):
-    return hnf_coordinates(hnf_rows, v) is not None
-
-
 def smith_normal_form(matrix):
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
@@ -195,13 +193,10 @@ def smith_normal_form(matrix):
         top, j, units = rows.pop(hit[0]), hit[1], units + 1
         rows = [[a - row[j] * top[j] * b for a, b in zip(row, top)] if row[j] else row for row in rows]
     while True:
-        form = IntegerEchelon()
-        for row in rows:
-            form.insert(row)
-        rows = [form.basis[c] for c in form.pivots]
+        rows = IntegerEchelon().extend(rows)
         if not any(any(row[i + 1:]) for i, row in enumerate(rows)):
             break
-        rows = [[row[j] for row in rows] for j in range(form.ncols)]
+        rows = list(zip(*rows))
     factors = [row[i] for i, row in enumerate(rows)]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
@@ -217,3 +212,34 @@ def rref(rows, domain):
 
 def field_rank(rows, domain):
     return len(rref(rows, domain))
+
+
+def left_kernel(domain, rows):
+    """Reduced basis of the c with sum of c_i * rows[i] zero, over Q or
+    F_p: the rows of the reduced form of [rows | I] that vanish on the
+    first block."""
+    d = len(rows[0])
+    aug = [list(row) + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
+    return [row[d:] for row in rref(aug, domain) if not any(row[:d])]
+
+
+def spin(domain, seeds, moves):
+    """Reduced basis of the smallest submodule holding the seeds and closed
+    under the linear moves; a move scatters coordinate i to move[i], index
+    -1 (a spare slot) taking zero products.  Only rows that grew the span
+    have their images inserted."""
+    form = echelon(domain)
+    for seed in seeds:
+        if not form.insert(seed):
+            continue
+        stack = [seed]
+        while stack:
+            v = stack.pop()
+            for move in moves:
+                w = [domain.zero] * (len(v) + 1)
+                for vi, k in zip(v, move):
+                    w[k] += vi
+                w.pop()
+                if form.insert(w):
+                    stack.append(w)
+    return tuple(form.rows())

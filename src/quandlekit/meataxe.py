@@ -13,8 +13,7 @@ simplicity, so the commands that never do are spared loading it.
 import itertools
 import random
 
-from .lattices import _spin
-from .linalg import echelon, rref
+from .linalg import left_kernel, rref, spin
 
 
 # Polynomials over F_p are coefficient lists, constant term first, with no
@@ -159,14 +158,6 @@ def _evaluate(f, a, p):
     return out
 
 
-def _left_kernel(domain, rows):
-    """Reduced basis of the c with sum of c_i * rows[i] zero: the rows of
-    the reduced form of [rows | I] that vanish on the first block."""
-    d = len(rows[0])
-    aug = [list(row) + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
-    return [row[d:] for row in rref(aug, domain) if not any(row[:d])]
-
-
 def _coordinate_matrix(sub, pivots, perm):
     """Matrix, in the coordinates of the reduced basis of the invariant
     subspace sub, of the move sending coordinate i to perm[i]: row r holds
@@ -230,7 +221,7 @@ def _irreducible(domain, moves, sub):
             return True, None  # no proper subspace is even A-invariant
         for f in factors:
             fa = _evaluate(f, a, p)
-            kernel = _left_kernel(domain, fa)
+            kernel = left_kernel(domain, fa)
             if len(kernel) == len(f) - 1:
                 return _norton(domain, moves, sub, pivots, fa, kernel[:1])
             if least is None or len(kernel) < len(least[0]):
@@ -244,28 +235,30 @@ def _irreducible(domain, moves, sub):
 def _norton(domain, moves, sub, pivots, fa, vectors):
     """Norton's criterion for B = fa given by its coordinate matrix: each
     of the vectors, coordinates of N = ker B, is spun up under the moves,
-    then one vector of ker B^T under the transposed moves."""
-    p, d = domain.char, sub.rank
+    then one vector u of ker B^T, a linear form on W = sub, is spun up
+    to the part of the dual W* it generates.
+
+    W* is F_p^n / W^perp, y giving the form w -> w . y.  A permutation
+    matrix P is orthogonal, so the form w -> (w P) . y is given by
+    y P^-1, and the moves and their inverses close to the same subspace:
+    u spins up to W* exactly when W^perp and a y giving u spin up to all
+    of F_p^n under the moves.  With b the reduced basis of W and p_r its
+    pivots, W^perp has the row e_j - sum_r b_r[j] e_(p_r) for each other
+    column j, and y holds u_r at p_r.  When the spin is smaller, the
+    vectors orthogonal to it lie in W, as it holds W^perp, and are a
+    proper nonzero invariant subspace: the witness."""
+    p, n = domain.char, sub.ambient_dim
 
     def ambient(coords):
-        return [sum(c * row[i] for c, row in zip(coords, sub.basis)) % p for i in range(sub.ambient_dim)]
+        return [sum(c * row[i] for c, row in zip(coords, sub.basis)) % p for i in range(n)]
 
     for v in vectors:
-        basis = _spin(domain, [ambient(v)], moves)
-        if len(basis) < d:
+        basis = spin(domain, [ambient(v)], moves)
+        if len(basis) < sub.rank:
             return False, basis
-    # u M^T is the row of dot products of u with the rows of M
-    mats = [_coordinate_matrix(sub, pivots, move) for move in moves]
-    form, stack = echelon(domain), [_left_kernel(domain, list(zip(*fa)))[0]]
-    form.insert(stack[0])
-    while stack:
-        u = stack.pop()
-        for m in mats:
-            w = [sum(x * y for x, y in zip(u, row)) % p for row in m]
-            if form.insert(w):
-                stack.append(w)
-    dual = form.rows()
-    if len(dual) == d:
+    at, u = dict(zip(pivots, sub.basis)), iter(left_kernel(domain, list(zip(*fa)))[0])
+    perp = [[-at[k][j] if k in at else int(k == j) for k in range(n)] for j in range(n) if j not in at]
+    dual = spin(domain, perp + [[next(u) if k in at else 0 for k in range(n)]], moves)
+    if len(dual) == n:
         return True, None
-    annihilator = _left_kernel(domain, list(zip(*dual)))
-    return False, tuple(rref([ambient(c) for c in annihilator], domain))
+    return False, tuple(rref(left_kernel(domain, list(zip(*dual))), domain))

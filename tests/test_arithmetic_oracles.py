@@ -48,7 +48,7 @@ from quandlekit.lattices import (
     span,
     verify_simple_decomposition,
 )
-from quandlekit.linalg import hermite_normal_form, lattice_contains, rref
+from quandlekit.linalg import hermite_normal_form, hnf_coordinates, rref
 from quandlekit.meataxe import _irreducible
 from quandlekit.quandles import (
     Quandle,
@@ -185,7 +185,7 @@ def oracle_reduce(domain, rows):
 
 def oracle_contains(domain, basis, v):
     if domain is ZZ:
-        return lattice_contains(basis, v)
+        return hnf_coordinates(basis, v) is not None
     return oracle_field_in_span(list(basis), [domain.coerce(c) for c in v], domain)
 
 

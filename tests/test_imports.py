@@ -5,7 +5,9 @@ module.
 Only ``quandles`` checks a table: no other library module names
 ``validate_table`` or ``_check_shape``.  Importing the commands pulls in
 neither ``dataclasses`` nor ``inspect``, which cost a start-up more than
-most jobs take.
+most jobs take, nor ``meataxe`` and the ``random`` it needs, which only a
+job that decides a simplicity loads.  ``meataxe`` takes its linear
+algebra from ``linalg`` alone, never from ``lattices``, which imports it.
 """
 
 import ast
@@ -77,6 +79,17 @@ def test_only_quandles_checks_tables():
     assert {name: used for name, used in found.items() if used} == {}
 
 
+def test_meataxe_imports_nothing_from_lattices():
+    tree = ast.parse((pathlib.Path(quandlekit.__file__).parent / "meataxe.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(part for alias in node.names for part in alias.name.split("."))
+    assert "lattices" not in found
+
+
 def imported_modules(source):
     """The top-level name of every module a module imports, at any depth."""
     found = set()
@@ -111,7 +124,8 @@ def fresh_interpreter(code):
 
 
 def test_startup_imports_neither_dataclasses_nor_inspect():
-    code = "import sys\n%s\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % STARTUP
+    lazy = {"dataclasses", "inspect", "quandlekit.meataxe", "random"}
+    code = "import sys\n%s\nprint(sorted(%r & set(sys.modules)))" % (STARTUP, lazy)
     assert fresh_interpreter(code).strip() == "[]"
 
 

@@ -1,8 +1,11 @@
 """Norton's irreducibility test (``meataxe._irreducible``) and the
 polynomial arithmetic mod p behind it: the characteristic polynomial
 against a Leibniz expansion of det(xI - A), the factors against brute
-force, and the fallback to Norton's criterion where no tried element of
-the algebra has a factor whose kernel is as small as its degree."""
+force, the fallback to Norton's criterion where no tried element of
+the algebra has a factor whose kernel is as small as its degree, and
+the dual half of the criterion, a spin-up of W^perp and one lifted form
+in F_p^n, against the same half worked in the coordinates of W
+(``oracle_dual_half``)."""
 
 import itertools
 import random
@@ -16,13 +19,14 @@ from test_arithmetic_oracles import (
     oracle_spins_to_all,
     right_translations,
 )
-from test_pair_kernel import dihedral_group
+from test_pair_kernel import dihedral_group, family_quandles, small_quandles
 
 from quandlekit import meataxe
 from quandlekit.domains import GF
 from quandlekit.lattices import span
-from quandlekit.meataxe import _charpoly, _factors, _irreducible
-from quandlekit.quandles import alexander_quandle, dihedral_quandle, inner_moves
+from quandlekit.linalg import echelon, left_kernel, rref, spin
+from quandlekit.meataxe import _charpoly, _evaluate, _factors, _irreducible
+from quandlekit.quandles import alexander_quandle, dihedral_quandle, inner_moves, orbits
 
 PRIMES = (2, 3, 5, 7)
 
@@ -156,8 +160,68 @@ def test_transposed_half_finds_the_submodule_the_kernel_misses():
     pivots = [next(c for c, v in enumerate(row) if v) for row in sub.basis]
     r0 = meataxe._coordinate_matrix(sub, pivots, right_translations(q)[0])
     b = [[(v + (i == j)) % 3 for j, v in enumerate(row)] for i, row in enumerate(r0)]
-    kernel = meataxe._left_kernel(domain, b)
+    kernel = left_kernel(domain, b)
     assert len(kernel) == 1
     simple, witness = meataxe._norton(domain, inner_moves(q), sub, pivots, b, kernel)
     assert simple is False
     assert oracle_reduce(domain, witness) == ((1, 1, 1),)
+
+
+def oracle_dual_half(domain, moves, sub, pivots, fa):
+    """The dual half of Norton's criterion in the coordinates of W = sub:
+    one vector of ker B^T spun up under the transposed coordinate matrices
+    of the moves by its own worklist.  (True, None) when the spin is all
+    of W*, else (False, reduced basis of the vectors of W its forms all
+    vanish on)."""
+    p = domain.char
+    mats = [meataxe._coordinate_matrix(sub, pivots, move) for move in moves]
+    form, stack = echelon(domain), [left_kernel(domain, list(zip(*fa)))[0]]
+    form.insert(stack[0])
+    while stack:
+        u = stack.pop()
+        for m in mats:
+            w = [sum(x * y for x, y in zip(u, row)) % p for row in m]
+            if form.insert(w):
+                stack.append(w)
+    dual = form.rows()
+    if len(dual) == sub.rank:
+        return True, None
+    annihilator = left_kernel(domain, list(zip(*dual)))
+    ambient = [[sum(c * row[i] for c, row in zip(coords, sub.basis)) % p for i in range(sub.ambient_dim)]
+               for coords in annihilator]
+    return False, tuple(rref(ambient, domain))
+
+
+def test_dual_half_matches_the_coordinate_spin():
+    """On every quandle of order <= 6 and the relabeled families (R_3..R_15,
+    Aff(Z_n, t), conjugation quandles and unions such as R_3 + R_5, where
+    n > d + 1 and W^perp has several rows), over F_2, F_3, F_5 and F_7:
+    W is each orbit's augmentation-zero summand and the spin of one seeded
+    vector, and B = f(A) for each irreducible factor f of the
+    characteristic polynomial of a seeded element A of the algebra.  With
+    no vectors to spin, `_norton` runs its dual half alone; its verdict and
+    witness equal the oracle's."""
+    rng, cases, verdicts = random.Random(1994), 0, set()
+    for q in small_quandles() + family_quandles():
+        moves = inner_moves(q)
+        gens = [tuple(range(q.n))] + list(moves)
+        for p in PRIMES:
+            domain = GF(p)
+            subspaces = [span(q.n, domain, augmentation_rows(q, orb)) for orb in orbits(q) if len(orb) > 1]
+            seed = [rng.randrange(p) for _ in range(q.n)]
+            subspaces.append(span(q.n, domain, spin(domain, [seed], moves)))
+            for sub in subspaces:
+                if not sub.rank:
+                    continue
+                pivots = [next(c for c, v in enumerate(row) if v) for row in sub.basis]
+                a = [[0] * sub.rank for _ in range(sub.rank)]
+                for _ in range(3):
+                    c, m = rng.randrange(1, p), meataxe._coordinate_matrix(sub, pivots, rng.choice(gens))
+                    a = [[(x + c * y) % p for x, y in zip(row, m_row)] for row, m_row in zip(a, m)]
+                for f in _factors(_charpoly(a, p), p, rng):
+                    fa = _evaluate(f, a, p)
+                    found = meataxe._norton(domain, moves, sub, pivots, fa, ())
+                    assert found == oracle_dual_half(domain, moves, sub, pivots, fa), (q.table, p)
+                    verdicts.add(found[0])
+                    cases += 1
+    assert verdicts == {True, False} and cases > 1000

@@ -71,9 +71,11 @@ def test_delta_square_r3_contains_known_product():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_submodule_leq_agrees_with_the_per_row_check(data):
-    """One pass of `submodule_leq` against `Submodule.contains` row by
-    row, both ways round: b and a submodule a built from combinations of
-    b's rows, plus at most two arbitrary rows that may take it out of b."""
+    """One pass of `submodule_leq`, and one call of `Submodule.contains`
+    on all the rows at once, against `contains` row by row, both ways
+    round: b and a submodule a built from combinations of b's rows, plus
+    at most two arbitrary rows that may take it out of b.  No vectors at
+    all are always contained."""
     domain = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3)]))
     n = data.draw(st.integers(1, 5))
     vector = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
@@ -84,7 +86,9 @@ def test_submodule_leq_agrees_with_the_per_row_check(data):
     a_rows += data.draw(st.lists(vector, max_size=2))
     a, b = span(n, domain, a_rows), span(n, domain, b_rows)
     for lower, upper in ((a, b), (b, a)):
-        assert submodule_leq(lower, upper) == all(upper.contains(v) for v in lower.basis)
+        per_row = all(upper.contains(v) for v in lower.basis)
+        assert submodule_leq(lower, upper) == upper.contains(*lower.basis) == per_row
+        assert upper.contains()
 
 
 def test_submodule_leq_sees_index_and_missing_rows():
@@ -98,6 +102,13 @@ def test_submodule_leq_sees_index_and_missing_rows():
         assert submodule_leq(span(3, domain, []), line)
     with pytest.raises(DomainMismatchError):
         submodule_leq(span(2, ZZ, [[1, 0]]), lattice)
+
+
+def test_span_rejects_rows_of_another_length():
+    for domain in (ZZ, QQ, GF(3)):
+        for rows in ([[1, 2, 3, 4]], [[1, 2]], [[1, 0, 0], [0, 0, 0, 0]]):
+            with pytest.raises(DomainMismatchError):
+                span(3, domain, rows)
 
 
 def test_delta_powers_descending_r5():
